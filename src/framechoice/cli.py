@@ -120,9 +120,12 @@ def _read_input(args: argparse.Namespace) -> tuple[str, str]:
     try:
         with open(args.infile, "rb") as fh:
             raw = fh.read()
+        text = raw.decode("utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {args.infile}: {exc}") from exc
-    return raw.decode("utf-8"), hashlib.sha256(raw).hexdigest()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{args.infile} is not UTF-8 text: {exc}") from exc
+    return text, hashlib.sha256(raw).hexdigest()
 
 
 def _args_digest(args: argparse.Namespace, fields: list[str]) -> str:

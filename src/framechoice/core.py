@@ -45,9 +45,9 @@ class NumericPolicy:
 
     def __post_init__(self) -> None:
         if self.mode not in ("float64", "rational"):
-            raise ValueError(f"unknown numeric mode {self.mode!r}")
+            raise DataError(f"unknown numeric mode {self.mode!r}")
         if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+            raise DataError("eps must be nonnegative")
 
     @property
     def exact(self) -> bool:

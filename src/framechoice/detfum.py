@@ -53,16 +53,6 @@ class ChoiceType:
         return self.default
 
 
-def evaluate_type(ctype: ChoiceType, frame: int) -> int:
-    """Choice of a canonical type at a frame."""
-    return ctype.choose(frame)
-
-
-def type_choice_function(ctype: ChoiceType, n: int) -> tuple[int, ...]:
-    """The full choice function induced by a type, indexed by frame mask."""
-    return tuple(ctype.choose(f) for f in range(1 << n))
-
-
 def enumerate_types(universe: Universe) -> list[ChoiceType]:
     """All distinct frame-dependent choice types, in canonical order.
 

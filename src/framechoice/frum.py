@@ -27,7 +27,7 @@ from .core import (
     submasks,
 )
 from .detfum import ChoiceType, enumerate_types
-from .polys import BMTable, compute_bm
+from .polys import BMTable, compute_bm, interim_q, interim_y
 from .rational_lp import solve_rational_lp
 
 MAX_WITNESS_N = 6  # path count beyond this makes automatic recovery unhelpful
@@ -166,15 +166,23 @@ def interim_violations(data: StochasticChoiceData) -> tuple[BMViolation, ...]:
                 gap = hi & ~lo
                 if any((lo | s) not in observed for s in submasks(gap)):
                     continue
-                total = policy.zero()
-                for s in submasks(gap):
-                    p = data.probs[(alt, lo | s)]
-                    total = total - p if bin(s).count("1") % 2 else total + p
+                total = (interim_y if is_y else interim_q)(data, alt, lo, hi)
                 scale = 1 << bin(gap).count("1")
                 if not policy.is_nonneg(total, scale=scale):
                     kind = "interim_Y" if is_y else "interim_Q"
                     out.append(BMViolation(kind, alt, lo, total, upper_frame=hi))
     return tuple(out)
+
+
+def _sign_violations(table: BMTable) -> tuple[BMViolation, ...]:
+    # every negative q entry in stable order, then every negative y entry
+    negative = ~table.policy.is_nonneg(table.values)
+    framed = table.framed
+    return tuple(
+        BMViolation(kind, alt, frame, value)
+        for kind, where in (("q", framed), ("y", ~framed))
+        for alt, frame, value in table.cells(negative & where)
+    )
 
 
 def test_frum(data: StochasticChoiceData, with_witness: bool | None = None) -> FrumVerdict:
@@ -187,24 +195,15 @@ def test_frum(data: StochasticChoiceData, with_witness: bool | None = None) -> F
     if not data.full_domain:
         return FrumVerdict(False, False, interim_violations(data), None)
     table = compute_bm(data)
-    policy = data.policy
-    violations: list[BMViolation] = []
-    for alt, frame, value in table.q_items():
-        if not policy.is_nonneg(value):
-            violations.append(BMViolation("q", alt, frame, value))
-    for alt, frame, value in table.y_items():
-        if not policy.is_nonneg(value):
-            violations.append(BMViolation("y", alt, frame, value))
-    accepted = not violations
+    violations = _sign_violations(table)
+    if violations:
+        return FrumVerdict(False, True, violations, None)
+    if with_witness is None:
+        with_witness = data.universe.n <= MAX_WITNESS_N
     witness = None
-    if accepted:
-        if with_witness is None:
-            with_witness = data.universe.n <= MAX_WITNESS_N
-        if with_witness:
-            witness = TypeDistribution(
-                data.universe, _recover_paths(table), policy
-            )
-    return FrumVerdict(accepted, True, tuple(violations), witness)
+    if with_witness:
+        witness = TypeDistribution(data.universe, _recover_paths(table), data.policy)
+    return FrumVerdict(True, True, (), witness)
 
 
 test_frum.__test__ = False  # analysis entry point, not a pytest case
@@ -215,48 +214,43 @@ test_frum.__test__ = False  # analysis entry point, not a pytest case
 # ---------------------------------------------------------------------------
 
 
-def _clamped(table: BMTable) -> tuple[list, list]:
+def _clamped(table: BMTable) -> list[list]:
+    # the table's rows as lists with every q/y value below zero set to zero:
     # float noise in [-eps, 0) must not poison path products; exact mode is a no-op
-    n = table.universe.n
-    size = 1 << n
     zero = table.policy.zero()
-    cq = [[zero] * size for _ in range(n)]
-    cy = [[zero] * size for _ in range(n)]
-    for alt, frame, value in table.q_items():
-        cq[alt][frame] = value if value > 0 else zero
-    for alt, frame, value in table.y_items():
-        cy[alt][frame] = value if value > 0 else zero
-    return cq, cy
+    return [[v if v > 0 else zero for v in row] for row in table.values.tolist()]
 
 
 def _require_accepted(data: StochasticChoiceData) -> BMTable:
     if not data.full_domain:
         raise DataError("recovery requires observations for every frame")
-    verdict = test_frum(data, with_witness=False)
-    if not verdict.accepted:
+    table = compute_bm(data)
+    violations = _sign_violations(table)
+    if violations:
+        verdict = FrumVerdict(False, True, violations, None)
         raise FrumRejectionError("data has no mixture representation", verdict)
-    return compute_bm(data)
+    return table
 
 
 def _recover_paths(table: BMTable) -> dict[ChoiceType, Number]:
     """Depth-first walk of the lattice assigning conditional flow ratios."""
     n = table.universe.n
-    cq, cy = _clamped(table)
+    bm = _clamped(table)
     weights: dict[ChoiceType, Number] = {}
     full = (1 << n) - 1
 
     def visit(node: int, mass: Number, consumed: tuple[int, ...]) -> None:
-        through = sum(cq[x][node] for x in members(node))
+        through = sum(bm[x][node] for x in members(node))
         for x in consumed:
-            through += cy[x][node]
+            through += bm[x][node]
         if not through > 0:
             return
         for pos, x in enumerate(consumed):
-            leak = cy[x][node]
+            leak = bm[x][node]
             if leak > 0:
                 weights[ChoiceType(consumed, pos + 1)] = mass * leak / through
         for x in members(node):
-            down = cq[x][node]
+            down = bm[x][node]
             if down > 0:
                 visit(node & ~(1 << x), mass * down / through, consumed + (x,))
 
@@ -276,28 +270,6 @@ def recover_branch_independent(data: StochasticChoiceData) -> TypeDistribution:
     return TypeDistribution(data.universe, _recover_paths(table), data.policy)
 
 
-def branch_weight(table: BMTable, ctype: ChoiceType) -> Number:
-    """Single-type path weight from raw (unclamped) table values."""
-    n = table.universe.n
-    node = (1 << n) - 1
-
-    def through(mask: int) -> Number:
-        total = sum(
-            (table.q(x, mask) for x in members(mask)),
-            table.policy.zero(),
-        )
-        for x in range(n):
-            if not mask & (1 << x):
-                total += table.y(x, mask)
-        return total
-
-    weight = table.policy.one()
-    for x in ctype.priority:
-        weight = weight * table.q(x, node) / through(node)
-        node &= ~(1 << x)
-    return weight * table.y(ctype.default, node) / through(node)
-
-
 def recover_constructive(data: StochasticChoiceData) -> TypeDistribution:
     """Recovery by the recursive prefix construction.
 
@@ -308,12 +280,12 @@ def recover_constructive(data: StochasticChoiceData) -> TypeDistribution:
     """
     table = _require_accepted(data)
     n = data.universe.n
-    cq, cy = _clamped(table)
+    bm = _clamped(table)
     full = (1 << n) - 1
 
     level: dict[tuple[int, ...], Number] = {}
     for a in range(n):
-        g = cq[a][full]
+        g = bm[a][full]
         if g > 0:
             level[(a,)] = g
     weights: dict[ChoiceType, Number] = {}
@@ -337,13 +309,13 @@ def recover_constructive(data: StochasticChoiceData) -> TypeDistribution:
             node = full & ~mask
             share = g / denom
             for pos, z in enumerate(prefix):
-                leak = cy[z][node]
+                leak = bm[z][node]
                 if leak > 0:
                     w = share * leak
                     if w > 0:
                         weights[ChoiceType(prefix, pos + 1)] = w
             for z in members(node):
-                down = cq[z][node]
+                down = bm[z][node]
                 if down > 0:
                     nxt[prefix + (z,)] = share * down
         level = nxt
@@ -506,6 +478,11 @@ def feasible_completion(data: StochasticChoiceData) -> FeasibilityResult:
     uni = data.universe
     if uni.n > MAX_FEASIBILITY_N:
         raise DataError(f"feasibility search supported for n <= {MAX_FEASIBILITY_N}")
+    # a negative interval sum already proves infeasibility, without the LP
+    interims = interim_violations(data)
+    if interims:
+        worst = min(interims, key=lambda v: (v.value, v.alternative, v.frame))
+        return FeasibilityResult(False, None, worst)
     types = enumerate_types(uni)
     observations = sorted(data.probs)  # (alt, frame), deterministic row order
 
@@ -538,10 +515,6 @@ def feasible_completion(data: StochasticChoiceData) -> FeasibilityResult:
         witness = TypeDistribution(uni, weights, data.policy)
         return FeasibilityResult(True, witness, None)
 
-    interims = interim_violations(data)
-    if interims:
-        worst = min(interims, key=lambda v: (v.value, v.alternative, v.frame))
-        return FeasibilityResult(False, None, worst)
     coeffs = tuple(
         (alt, frame, result.farkas[i]) for i, (alt, frame) in enumerate(observations)
     )

@@ -15,7 +15,6 @@ the alternating sum to an observed interval so partial data can still falsify.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
@@ -33,46 +32,46 @@ from .core import (
 
 @dataclass(frozen=True)
 class BMTable:
-    """Full q/y tables for a completely observed rule.
+    """Full q/y tables for a completely observed rule, in one array.
 
-    Entries are keyed by (alternative, frame); ``q`` is defined where the
-    alternative is framed, ``y`` where it is not.
+    ``values[a, F]`` is ``q(a, F)`` where ``a`` is in ``F`` and ``y(a, F)``
+    where it is not; the two tables never share a cell.  The array has dtype
+    ``float64`` in float mode and ``object`` (``Fraction`` entries) in
+    rational mode.
     """
 
     universe: Universe
     policy: NumericPolicy
-    _q: tuple  # per-alternative sequence indexed by frame mask
-    _y: tuple
+    values: np.ndarray  # shape (n, 2^n), indexed by (alternative, frame mask)
 
     def q(self, alt: int, frame: int) -> Number:
         if not frame & (1 << alt):
             raise DataError("q(a, F) requires a in F")
-        val = self._q[alt][frame]
-        return val if self.policy.exact else float(val)
+        return self.values.item(alt, frame)
 
     def y(self, alt: int, frame: int) -> Number:
         if frame & (1 << alt):
             raise DataError("y(a, F) requires a not in F")
-        val = self._y[alt][frame]
-        return val if self.policy.exact else float(val)
+        return self.values.item(alt, frame)
+
+    @property
+    def framed(self) -> np.ndarray:
+        """Boolean mask over ``values``, True at the ``q`` cells (``a`` in ``F``)."""
+        n = self.universe.n
+        return (np.arange(1 << n) >> np.arange(n)[:, None]) & 1 == 1
+
+    def cells(self, where: np.ndarray) -> Iterator[tuple[int, int, Number]]:
+        """(alternative, frame, value) at the True cells of a mask, in stable order."""
+        alts, frames = np.nonzero(where)
+        return zip(alts.tolist(), frames.tolist(), self.values[where].tolist())
 
     def q_items(self) -> Iterator[tuple[int, int, Number]]:
         """(alternative, frame, value) over all framed slots, in stable order."""
-        for alt in range(self.universe.n):
-            bit = 1 << alt
-            col = self._q[alt]
-            for frame in range(1 << self.universe.n):
-                if frame & bit:
-                    yield alt, frame, col[frame] if self.policy.exact else float(col[frame])
+        return self.cells(self.framed)
 
     def y_items(self) -> Iterator[tuple[int, int, Number]]:
         """(alternative, frame, value) over all non-framed slots, in stable order."""
-        for alt in range(self.universe.n):
-            bit = 1 << alt
-            col = self._y[alt]
-            for frame in range(1 << self.universe.n):
-                if not frame & bit:
-                    yield alt, frame, col[frame] if self.policy.exact else float(col[frame])
+        return self.cells(~self.framed)
 
     def to_json_dict(self) -> dict:
         uni = self.universe
@@ -90,95 +89,38 @@ class BMTable:
         }
 
 
-def _superset_signed_sum_exact(vals: list, nbits: int) -> None:
-    # in place: vals[F] <- sum over supersets B of F of (-1)^{|B-F|} vals[B]
-    for bit in range(nbits):
-        step = 1 << bit
-        for mask in range(1 << nbits):
-            if not mask & step:
-                vals[mask] -= vals[mask | step]
-
-
-def _superset_signed_sum_float(arr: np.ndarray, nbits: int) -> None:
-    view = arr.reshape((2,) * nbits)
-    for axis in range(nbits):
-        idx_lo = (slice(None),) * axis + (0,)
-        idx_hi = (slice(None),) * axis + (1,)
-        view[idx_lo] -= view[idx_hi]
-
-
-def _sublattice_indices(n: int, alt: int) -> list[int]:
-    # masks over X minus one alternative, re-expanded to full-width masks
-    low = (1 << alt) - 1
-    return [(c & low) | ((c >> alt) << (alt + 1)) for c in range(1 << (n - 1))]
+def _superset_signed_sum(row: np.ndarray, n: int, skip: int) -> None:
+    # in place: row[F] <- sum over B >= F agreeing with F on bit `skip` of
+    # (-1)^{|B-F|} row[B]; in the C-order (2,)*n view bit k is axis n-1-k
+    view = row.reshape((2,) * n)
+    for axis in range(n):
+        if axis != n - 1 - skip:
+            lead = (slice(None),) * axis
+            view[lead + (0,)] -= view[lead + (1,)]
 
 
 def compute_bm(data: StochasticChoiceData) -> BMTable:
-    """Both polynomial tables via per-alternative lattice transforms.
+    """Both polynomial tables from one lattice transform per alternative.
 
-    Requires the full power set of frames.  Cost is O(n * 2^n) per
-    alternative; the float path is vectorized, the rational path is exact.
+    Requires the full power set of frames.  Row ``a`` starts as ``rho(a, .)``
+    and is transformed over every bit except ``a``'s own: a framed cell only
+    ever sums supersets that contain ``a``, which is ``q``, while an unframed
+    cell, never differenced against its ``a``-framed partner, sums only the
+    supersets that avoid ``a``, which is ``y``.  Cost is O(n * 2^n) per
+    alternative; the same array code runs on ``float64`` and on ``Fraction``
+    objects.
     """
     if not data.full_domain:
         raise DataError("polynomial tables require observations for every frame")
     n = data.universe.n
     size = 1 << n
-    q_cols = []
-    y_cols = []
+    values = np.array(
+        [[data.probs[(alt, f)] for f in range(size)] for alt in range(n)],
+        dtype=object if data.policy.exact else np.float64,
+    )
     for alt in range(n):
-        sub_idx = _sublattice_indices(n, alt)
-        if data.policy.exact:
-            full = [data.probs[(alt, f)] for f in range(size)]
-            sub = [full[f] for f in sub_idx]
-            _superset_signed_sum_exact(full, n)
-            _superset_signed_sum_exact(sub, n - 1)
-            ycol: list = [Fraction(0)] * size
-            for c, f in enumerate(sub_idx):
-                ycol[f] = sub[c]
-            q_cols.append(tuple(full))
-            y_cols.append(tuple(ycol))
-        else:
-            full_arr = np.array([data.probs[(alt, f)] for f in range(size)], dtype=np.float64)
-            sub_arr = full_arr[sub_idx].copy()
-            _superset_signed_sum_float(full_arr, n)
-            if n > 1:
-                _superset_signed_sum_float(sub_arr, n - 1)
-            ycol_arr = np.zeros(size, dtype=np.float64)
-            ycol_arr[sub_idx] = sub_arr
-            q_cols.append(full_arr)
-            y_cols.append(ycol_arr)
-    return BMTable(data.universe, data.policy, tuple(q_cols), tuple(y_cols))
-
-
-def naive_bm(data: StochasticChoiceData) -> BMTable:
-    """Reference implementation by direct inclusion-exclusion (O(4^n))."""
-    if not data.full_domain:
-        raise DataError("polynomial tables require observations for every frame")
-    n = data.universe.n
-    size = 1 << n
-    zero = data.policy.zero()
-    q_cols = []
-    y_cols = []
-    for alt in range(n):
-        bit = 1 << alt
-        qcol = [zero] * size
-        ycol = [zero] * size
-        for frame in range(size):
-            free = (size - 1) & ~frame
-            total_q = zero
-            total_y = zero
-            for extra in submasks(free):
-                term = data.probs[(alt, frame | extra)]
-                if bin(extra).count("1") % 2:
-                    term = -term
-                total_q += term
-                if not (frame | extra) & bit:
-                    total_y += term
-            qcol[frame] = total_q
-            ycol[frame] = total_y
-        q_cols.append(tuple(qcol))
-        y_cols.append(tuple(ycol))
-    return BMTable(data.universe, data.policy, tuple(q_cols), tuple(y_cols))
+        _superset_signed_sum(values[alt], n, alt)
+    return BMTable(data.universe, data.policy, values)
 
 
 # ---------------------------------------------------------------------------

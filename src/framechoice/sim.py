@@ -1,4 +1,4 @@
-"""Seeded generators and brute-force oracles for synthetic benchmarks.
+"""Seeded generators and perturbation for synthetic data.
 
 Every draw site derives its own stream from (seed, purpose tag), so adding a
 new generator never shifts the values an existing seed produces.
@@ -112,23 +112,4 @@ def perturb(data: StochasticChoiceData, config: SimConfig) -> StochasticChoiceDa
             total = sum(shifted)
         for alt, p in zip(alts, shifted):
             probs[(alt, frame)] = p / total
-    return StochasticChoiceData(uni, probs, policy)
-
-
-def oracle_forward(mu: TypeDistribution, domain) -> StochasticChoiceData:
-    """Aggregation by the definition, one (alternative, frame) cell at a time.
-
-    Deliberately a separate code path from the production aggregator so the
-    two can be compared as independent implementations.
-    """
-    uni = mu.universe
-    policy = mu.policy
-    probs: dict[tuple[int, int], Number] = {}
-    for frame in sorted(set(domain)):
-        for alt in range(uni.n):
-            mass = policy.zero()
-            for ctype, w in mu.weights.items():
-                if ctype.choose(frame) == alt:
-                    mass += w
-            probs[(alt, frame)] = mass
     return StochasticChoiceData(uni, probs, policy)

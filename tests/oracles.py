@@ -1,0 +1,65 @@
+"""Reference implementations that the tests compare the program against.
+
+Each is written straight from a definition, reads only ``data.probs``,
+``mu.weights`` or ``table.q``/``table.y``, and returns plain values, so it
+stays independent of how the program lays out its tables.
+"""
+
+from __future__ import annotations
+
+from framechoice.core import members, submasks
+
+
+def naive_bm(data) -> dict[tuple[int, int], object]:
+    """Both polynomial tables by direct inclusion-exclusion (O(4^n)).
+
+    Maps (alternative, frame) to ``q`` where the alternative is in the frame
+    and to ``y`` where it is not.
+    """
+    n = data.universe.n
+    size = 1 << n
+    out = {}
+    for alt in range(n):
+        bit = 1 << alt
+        for frame in range(size):
+            total = data.policy.zero()
+            for extra in submasks((size - 1) & ~frame):
+                upper = frame | extra
+                if (upper & bit) != (frame & bit):
+                    continue  # y sums only supersets avoiding alt
+                term = data.probs[(alt, upper)]
+                total = total - term if bin(extra).count("1") % 2 else total + term
+            out[(alt, frame)] = total
+    return out
+
+
+def oracle_forward(mu, domain) -> dict[tuple[int, int], object]:
+    """Aggregation by the definition, one (alternative, frame) cell at a time."""
+    probs = {}
+    for frame in sorted(set(domain)):
+        for alt in range(mu.universe.n):
+            mass = mu.policy.zero()
+            for ctype, w in mu.weights.items():
+                if ctype.choose(frame) == alt:
+                    mass += w
+            probs[(alt, frame)] = mass
+    return probs
+
+
+def branch_weight(table, ctype):
+    """Single-type path weight from raw (unclamped) table values."""
+    n = table.universe.n
+    node = (1 << n) - 1
+
+    def through(mask: int):
+        total = sum((table.q(x, mask) for x in members(mask)), table.policy.zero())
+        for x in range(n):
+            if not mask & (1 << x):
+                total += table.y(x, mask)
+        return total
+
+    weight = table.policy.one()
+    for x in ctype.priority:
+        weight = weight * table.q(x, node) / through(node)
+        node &= ~(1 << x)
+    return weight * table.y(ctype.default, node) / through(node)

@@ -38,7 +38,6 @@ from framechoice.fluce import (
     _eligible_anchor_frames,
 )
 from framechoice.frum import (
-    branch_weight,
     check_prop2,
     feasible_completion,
     forward_frum,
@@ -50,6 +49,7 @@ from framechoice.polys import compute_bm, flow_residuals, interim_q
 from framechoice.sim import SimConfig, default_universe, sample_fluce, sample_mu, stream
 
 from conftest import AB, A, B, EMPTY, load_fixture, random_rho, table3_data
+from oracles import branch_weight
 
 F = Fraction
 

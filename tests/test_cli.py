@@ -48,6 +48,19 @@ class TestExitCodes:
         bad.write_text("frame,alternative,probability\n,a,0.7\n,b,0.25\n")
         assert run(["test-frum", "--in", str(bad)]) == 1
 
+    def test_negative_epsilon_is_usage_error(self, capsys):
+        path = str(DATA_DIR / "intro_full.csv")
+        assert run(["validate", "--in", path, "--epsilon", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_utf8_input_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfe")
+        assert run(["validate", "--in", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_rejection_is_exit_two(self, capsys):
         path = str(DATA_DIR / "intro_full.csv")
         payload = run_json(["test-frum", "--in", path, "--numeric", "rational"], capsys, 2)

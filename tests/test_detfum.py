@@ -15,9 +15,7 @@ from framechoice.detfum import (
     choice_function,
     enumerate_types,
     evaluate_fum,
-    evaluate_type,
     representation_for_type,
-    type_choice_function,
     type_count,
 )
 from framechoice.sim import default_universe
@@ -77,10 +75,10 @@ class TestEvaluate:
 
     def test_type_evaluation(self):
         t = ChoiceType((0, 1), 1)
-        assert evaluate_type(t, B) == 1
-        assert evaluate_type(t, EMPTY) == 0
+        assert t.choose(B) == 1
+        assert t.choose(EMPTY) == 0
         green = ChoiceType((2,), 1)
-        assert evaluate_type(green, 0b011) == 2  # picks c whatever is framed
+        assert green.choose(0b011) == 2  # picks c whatever is framed
 
     def test_type_validation(self):
         with pytest.raises(DataError):
@@ -158,7 +156,7 @@ class TestConstruction:
                 uni, {f: ctype.choose(f) for f in range(8)}
             )
             rep = build_fum_representation(data)
-            assert choice_function(rep) == type_choice_function(ctype, 3)
+            assert choice_function(rep) == tuple(map(ctype.choose, range(8)))
 
     def test_partial_domain_fallback_consistent(self):
         uni = default_universe(3)
@@ -194,7 +192,7 @@ class TestEnumeration:
     def test_induced_functions_distinct(self):
         for n in (2, 3, 4):
             types = enumerate_types(default_universe(n))
-            functions = {type_choice_function(t, n) for t in types}
+            functions = {tuple(map(t.choose, range(1 << n))) for t in types}
             assert len(functions) == len(types)
 
     def test_size_guard(self):
@@ -207,7 +205,7 @@ class TestTypeRepDuality:
         uni = default_universe(3)
         for ctype in enumerate_types(uni):
             rep = representation_for_type(ctype, uni)
-            assert choice_function(rep) == type_choice_function(ctype, 3)
+            assert choice_function(rep) == tuple(map(ctype.choose, range(8)))
 
     def test_every_type_function_satisfies_iifa(self):
         uni = default_universe(3)
@@ -222,7 +220,7 @@ class TestExhaustiveCensus:
         # 33 type-induced ones, and construction succeeds on exactly those
         uni = default_universe(3)
         type_functions = {
-            type_choice_function(t, 3) for t in enumerate_types(uni)
+            tuple(map(t.choose, range(8))) for t in enumerate_types(uni)
         }
         passing = 0
         for assignment in itertools.product(range(3), repeat=8):

@@ -12,12 +12,12 @@ from framechoice.core import (
     StochasticChoiceData,
     parse_stochastic,
 )
+from framechoice import frum
 from framechoice.detfum import ChoiceType
 from framechoice.frum import (
     DualCertificate,
     FrumRejectionError,
     TypeDistribution,
-    branch_weight,
     check_prop2,
     feasible_completion,
     forward_frum,
@@ -30,6 +30,7 @@ from framechoice.polys import compute_bm
 from framechoice.sim import default_universe, sample_mu, SimConfig
 
 from conftest import AB, A, B, EMPTY, TABLE3_UNIVERSE, random_rho, table3_data
+from oracles import branch_weight
 
 # Table-4 type order c1..c6
 C1 = ChoiceType((0,), 1)
@@ -180,6 +181,24 @@ class TestRecovery:
         with pytest.raises(DataError, match="every frame"):
             recover_branch_independent(intro_partial_n3)
 
+    @pytest.mark.parametrize("method", [recover_branch_independent, recover_constructive])
+    def test_tables_built_once(self, method, monkeypatch):
+        calls = []
+
+        def counting(data):
+            calls.append(data)
+            return compute_bm(data)
+
+        monkeypatch.setattr(frum, "compute_bm", counting)
+        method(table3_data(Fraction(2, 5), Fraction(3, 5)))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("method", [recover_branch_independent, recover_constructive])
+    def test_rejection_verdict_matches_test_frum(self, method, intro_full_rational):
+        with pytest.raises(FrumRejectionError) as err:
+            method(intro_full_rational)
+        assert err.value.verdict == test_frum(intro_full_rational, with_witness=False)
+
 
 class TestForward:
     def test_table4_mu_reproduces_parametric_cells(self):
@@ -303,6 +322,16 @@ class TestFeasibility:
             assert cert.frame == EMPTY
             assert data.universe.frame_str(cert.upper_frame) == "b|c"
             assert cert.value == Fraction(-1, 10)
+
+    def test_interval_certificate_needs_no_lp(self, intro_partial_n3, monkeypatch):
+        def no_lp(*args):
+            raise AssertionError("the interval scan alone settles this input")
+
+        monkeypatch.setattr(frum, "solve_rational_lp", no_lp)
+        result = feasible_completion(intro_partial_n3)
+        assert not result.feasible
+        assert result.certificate.kind == "interim_Y"
+        assert result.certificate.value == Fraction(-1, 10)
 
     def test_table3_feasible_with_valid_witness(self):
         data = table3_data(Fraction(2, 5), Fraction(3, 5))
