@@ -46,8 +46,8 @@ class NumericPolicy:
     def __post_init__(self) -> None:
         if self.mode not in ("float64", "rational"):
             raise DataError(f"unknown numeric mode {self.mode!r}")
-        if self.eps < 0:
-            raise DataError("eps must be nonnegative")
+        if not 0 <= self.eps < float("inf"):
+            raise DataError(f"eps must be finite and nonnegative, got {self.eps}")
 
     @property
     def exact(self) -> bool:

@@ -79,7 +79,7 @@ class FLuceParams:
                 return tuple(vals)
 
             return cls(uni, grab(payload["u"]), grab(payload["v"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise DataError(f"malformed parameter payload: {exc}") from exc
 
 
@@ -421,14 +421,14 @@ def preset(
     raise DataError(f"unknown preset kind {kind!r}")
 
 
-def embed_check(params: FLuceParams, n_limit: int = MAX_EMBED_N) -> FrumVerdict:
+def embed_check(params: FLuceParams) -> FrumVerdict:
     """Full-domain mixture test of the parametric rule; always accepts.
 
     Returns the verdict with its witness distribution, confirming the
     parametric family sits inside the mixture model.
     """
     n = params.universe.n
-    if n > n_limit:
-        raise DataError(f"embedding check supported for n <= {n_limit}")
+    if n > MAX_EMBED_N:
+        raise DataError(f"embedding check supported for n <= {MAX_EMBED_N}")
     data = forward_fluce(params, range(1 << n))
     return test_frum(data)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .core import (
     DataError,
@@ -464,16 +464,72 @@ class FeasibilityResult:
         }
 
 
+BAND_EPS = 8  # in float mode an observation may move within ±BAND_EPS·eps
+
+
+@dataclass(frozen=True)
+class MixtureLP:
+    """``rows · x = rhs, x >= 0`` with one weight column per type, then slacks.
+
+    Each cell gives ``rows_per_cell`` consecutive rows in cell order: one
+    equality, or in float mode an up row (own ``+slack`` column, right side
+    ``p + band``) and a low row (own ``-slack`` column, ``p - band``); the
+    normalization row is last.
+    """
+
+    types: tuple[ChoiceType, ...]
+    rows: list[list[Fraction]]
+    rhs: list[Fraction]
+    rows_per_cell: int
+
+
+def mixture_lp(
+    data: StochasticChoiceData,
+    types: Iterable[ChoiceType],
+    cells: list[tuple[int, int]],
+    pattern_frames: Sequence[int],
+) -> MixtureLP:
+    """The mixture system over ``cells``, one column per choice pattern.
+
+    Of the ``types`` that agree on every frame of ``pattern_frames`` (which
+    must cover the cells' frames) only the first is kept.
+    """
+    patterns: dict[tuple[int, ...], ChoiceType] = {}
+    for ctype in types:
+        patterns.setdefault(tuple(map(ctype.choose, pattern_frames)), ctype)
+    kept = tuple(patterns.values())
+    band = Fraction(0) if data.policy.exact else Fraction(BAND_EPS * data.policy.eps)
+    slacks = 0 if band == 0 else 2 * len(cells)
+    zero, one = Fraction(0), Fraction(1)
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    for i, (alt, frame) in enumerate(cells):
+        row = [one if t.choose(frame) == alt else zero for t in kept] + [zero] * slacks
+        target = Fraction(data.probs[(alt, frame)])
+        if band == 0:
+            rows.append(row)
+            rhs.append(target)
+            continue
+        low = row.copy()
+        row[len(kept) + 2 * i] = one
+        low[len(kept) + 2 * i + 1] = -one
+        rows += [row, low]
+        rhs += [target + band, target - band]
+    rows.append([one] * len(kept) + [zero] * slacks)
+    rhs.append(one)
+    return MixtureLP(kept, rows, rhs, 1 if band == 0 else 2)
+
+
 def feasible_completion(data: StochasticChoiceData) -> FeasibilityResult:
     """Decide whether any mixture over the enumerated types matches the data.
 
     Works on arbitrary partial observations (missing frames, or frames
-    observed for only some alternatives): exact rational feasibility over one
-    equality row per observation plus normalization.  Float inputs are decided
-    exactly at their binary values, so tightly coupled float data (for
-    instance a fully aggregated rule rounded to float) should be tested with
-    the sign test instead.  On infeasibility the certificate is a violated
-    interval sum when one exists, otherwise the LP's dual (Farkas) combination.
+    observed for only some alternatives): exact rational feasibility over
+    one row per observation plus normalization, each float observation
+    within the same ``±BAND_EPS·eps`` band as the plot regions.  On
+    infeasibility the certificate is a violated interval sum when one exists,
+    otherwise the LP's dual (Farkas) combination; a float cell's coefficient
+    sums its two band rows', which certifies the unbanded system exactly.
     """
     uni = data.universe
     if uni.n > MAX_FEASIBILITY_N:
@@ -483,39 +539,21 @@ def feasible_completion(data: StochasticChoiceData) -> FeasibilityResult:
     if interims:
         worst = min(interims, key=lambda v: (v.value, v.alternative, v.frame))
         return FeasibilityResult(False, None, worst)
-    types = enumerate_types(uni)
     observations = sorted(data.probs)  # (alt, frame), deterministic row order
+    lp = mixture_lp(data, enumerate_types(uni), observations, data.domain)
 
-    # collapse types whose choices agree on every observed frame
-    frames = sorted({frame for _, frame in observations})
-    patterns: dict[tuple[int, ...], int] = {}
-    for idx, ctype in enumerate(types):
-        pattern = tuple(ctype.choose(f) for f in frames)
-        patterns.setdefault(pattern, idx)
-    reps = sorted(patterns.values())
-    frame_pos = {f: i for i, f in enumerate(frames)}
-    rep_patterns = [tuple(types[i].choose(f) for f in frames) for i in reps]
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for alt, frame in observations:
-        pos = frame_pos[frame]
-        rows.append([Fraction(1) if pat[pos] == alt else Fraction(0) for pat in rep_patterns])
-        rhs.append(Fraction(data.probs[(alt, frame)]))
-    rows.append([Fraction(1)] * len(reps))
-    rhs.append(Fraction(1))
-
-    result = solve_rational_lp(rows, rhs)
+    result = solve_rational_lp(lp.rows, lp.rhs)
     if result.status == "optimal":
         weights: dict[ChoiceType, Number] = {}
-        for col, idx in enumerate(reps):
-            w = result.x[col]
+        for ctype, w in zip(lp.types, result.x):
             if w > 0:
-                weights[types[idx]] = w if data.policy.exact else float(w)
+                weights[ctype] = w if data.policy.exact else float(w)
         witness = TypeDistribution(uni, weights, data.policy)
         return FeasibilityResult(True, witness, None)
 
+    k = lp.rows_per_cell
     coeffs = tuple(
-        (alt, frame, result.farkas[i]) for i, (alt, frame) in enumerate(observations)
+        (alt, frame, sum(result.farkas[k * i : k * i + k]))
+        for i, (alt, frame) in enumerate(observations)
     )
     return FeasibilityResult(False, None, DualCertificate(coeffs, result.farkas[-1]))

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .core import DataError, Number, StochasticChoiceData, number_to_json
 from .detfum import enumerate_types
+from .frum import mixture_lp
 from .rational_lp import solve_rational_lp
 
 Bary = tuple[Number, Number, Number]
@@ -80,71 +81,28 @@ def _hull(points: set[_Pt]) -> list[_Pt]:
 class _TypePolytope:
     """Mixture weights consistent with the singleton/doubleton observations.
 
-    In float mode each observation becomes a band of width ``2 * slack`` so
-    representation noise in the data cannot make the exact LP infeasible;
-    rational-mode constraints are exact equalities.
+    Built by :func:`~framechoice.frum.mixture_lp` over the frame-major
+    singleton/doubleton cells: exact equalities in rational mode, bands of
+    ``±BAND_EPS·eps`` in float mode, so representation noise in the data
+    cannot make the exact LP infeasible.
     """
 
-    def __init__(self, data: StochasticChoiceData):
+    def __init__(self, data: StochasticChoiceData, targets: list[int]):
         uni = data.universe
-        self.universe = uni
-        self.types = enumerate_types(uni)
-        slack = Fraction(0) if data.policy.exact else Fraction(8 * data.policy.eps)
-        constrained = [
-            f for f in range(1 << uni.n) if 1 <= bin(f).count("1") <= 2
-        ]
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        width = len(self.types)
-        slack_count = 0 if slack == 0 else 2 * len(constrained) * uni.n
-        col = 0
-        for frame in constrained:
-            for alt in range(uni.n):
-                base = [
-                    Fraction(1) if t.choose(frame) == alt else Fraction(0) for t in self.types
-                ]
-                target = Fraction(data.probs[(alt, frame)])
-                if slack == 0:
-                    rows.append(base + [Fraction(0)] * slack_count)
-                    rhs.append(target)
-                else:
-                    up = base + [Fraction(0)] * slack_count
-                    up[width + col] = Fraction(1)
-                    rows.append(up)
-                    rhs.append(target + slack)
-                    lo = base + [Fraction(0)] * slack_count
-                    lo[width + col + 1] = Fraction(-1)
-                    rows.append(lo)
-                    rhs.append(target - slack)
-                    col += 2
-        rows.append([Fraction(1)] * width + [Fraction(0)] * slack_count)
-        rhs.append(Fraction(1))
-        self.width = width
-        self.rows = rows
-        self.rhs = rhs
+        constrained = [f for f in range(1 << uni.n) if 1 <= bin(f).count("1") <= 2]
+        cells = [(alt, frame) for frame in constrained for alt in range(uni.n)]
+        self.lp = mixture_lp(data, enumerate_types(uni), cells, constrained + targets)
 
     def support(self, target: int, direction: tuple[Fraction, Fraction]) -> _Pt:
-        objective = []
-        for t in self.types:
-            pick = t.choose(target)
-            c = Fraction(0)
-            if pick == 0:
-                c += direction[0]
-            elif pick == 1:
-                c += direction[1]
-            objective.append(c)
-        objective.extend([Fraction(0)] * (len(self.rows[0]) - self.width))
-        result = solve_rational_lp(self.rows, self.rhs, objective)
+        types = self.lp.types
+        picks = [t.choose(target) for t in types]
+        objective = [direction[p] if p < 2 else Fraction(0) for p in picks]
+        objective.extend([Fraction(0)] * (len(self.lp.rows[0]) - len(types)))
+        result = solve_rational_lp(self.lp.rows, self.lp.rhs, objective)
         if result.status != "optimal":
             raise DataError("singleton/doubleton observations admit no mixture of choice types")
-        pa = sum(
-            (result.x[i] for i, t in enumerate(self.types) if t.choose(target) == 0 and result.x[i]),
-            Fraction(0),
-        )
-        pb = sum(
-            (result.x[i] for i, t in enumerate(self.types) if t.choose(target) == 1 and result.x[i]),
-            Fraction(0),
-        )
+        pa = sum((x for p, x in zip(picks, result.x) if p == 0), Fraction(0))
+        pb = sum((x for p, x in zip(picks, result.x) if p == 1), Fraction(0))
         return (pa, pb)
 
 
@@ -223,7 +181,7 @@ def plot_simplex(
     if targets:
         if not data.contains_frames_up_to(2):
             raise DataError("region emission requires all frames of size <= 2")
-        poly = _TypePolytope(data)
+        poly = _TypePolytope(data, targets)
         for target in targets:
             verts = _region_polygon(poly, target)
             bary = tuple(

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
+    MAX_UNIVERSE,
     DataError,
     Number,
     StochasticChoiceData,
@@ -50,6 +51,8 @@ def stream(seed: int, tag: str) -> np.random.Generator:
 
 
 def default_universe(n: int) -> Universe:
+    if not 1 <= n <= MAX_UNIVERSE:
+        raise DataError(f"universe size must be in 1..{MAX_UNIVERSE}, got {n}")
     return Universe(tuple("abcdefghijklmnopqrst"[:n]))
 
 

@@ -49,10 +49,26 @@ class TestExitCodes:
         assert run(["test-frum", "--in", str(bad)]) == 1
 
     def test_negative_epsilon_is_usage_error(self, capsys):
+        # an infinite or NaN tolerance is as unusable as a negative one
         path = str(DATA_DIR / "intro_full.csv")
-        assert run(["validate", "--in", path, "--epsilon", "-1"]) == 1
+        for eps in ("-1", "inf", "nan"):
+            assert run(["validate", "--in", path, "--epsilon", eps]) == 1, eps
+            err = capsys.readouterr().err
+            assert err.startswith("error: eps must be finite") and err.count("\n") == 1, eps
+
+    def test_universe_size_out_of_range_is_usage_error(self, capsys):
+        for argv in (["enumerate-types", "--n", "-3"], ["simulate", "--kind", "fluce", "--n", "25"]):
+            assert run(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: universe size must be in 1..20, got ") and err.count("\n") == 1
+
+    def test_zero_denominator_parameter_is_usage_error(self, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text('{"universe": ["a", "b", "c"], "u": {"a": "1/0", "b": "1", "c": "1"}, '
+                          '"v": {"a": "0", "b": "0", "c": "0"}}')
+        assert run(["embed-check", "--in", str(params), "--numeric", "rational"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: malformed parameter payload") and err.count("\n") == 1
 
     def test_non_utf8_input_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

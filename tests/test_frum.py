@@ -356,36 +356,40 @@ class TestFeasibility:
         # only incomparable singleton frames are observed, so no interval of
         # length > 1 is computable; the total forced mass exceeds one, and the
         # only certificate is the dual ray
+        from framechoice.detfum import enumerate_types
+
         text = (
             "# universe: a|b\nframe,alternative,probability\n"
             "a,a,0.3\na,b,0.7\nb,a,0.7\nb,b,0.3\n"
         )
-        data = parse_stochastic(text, RATIONAL)
-        result = feasible_completion(data)
-        assert not result.feasible
-        assert isinstance(result.certificate, DualCertificate)
+        for policy in (RATIONAL, FLOAT64):
+            data = parse_stochastic(text, policy)
+            result = feasible_completion(data)
+            assert not result.feasible
+            assert isinstance(result.certificate, DualCertificate)
 
-        # the ray must be arithmetically valid: y.A <= 0 columnwise, y.b > 0
-        from framechoice.detfum import enumerate_types
-
-        cert = result.certificate
-        coeff = {(alt, frame): c for alt, frame, c in cert.coefficients}
-        rows = sorted(coeff)
-        y_dot_b = sum(coeff[key] * data.probs[key] for key in rows)
-        y_dot_b += cert.normalization_coefficient
-        assert y_dot_b > 0
-        for ctype in enumerate_types(data.universe):
-            column = sum(
-                coeff[(alt, frame)]
-                for alt, frame in rows
-                if ctype.choose(frame) == alt
-            )
-            assert column + cert.normalization_coefficient <= 0
+            # the ray must be arithmetically valid at the observations' exact
+            # values (a float's binary value): y.A <= 0 columnwise, y.b > 0;
+            # in float mode each coefficient sums a cell's two band rows
+            cert = result.certificate
+            coeff = {(alt, frame): c for alt, frame, c in cert.coefficients}
+            rows = sorted(coeff)
+            assert rows == sorted(data.probs)
+            y_dot_b = sum(coeff[key] * Fraction(data.probs[key]) for key in rows)
+            y_dot_b += cert.normalization_coefficient
+            assert y_dot_b > 0, policy
+            for ctype in enumerate_types(data.universe):
+                column = sum(
+                    coeff[(alt, frame)]
+                    for alt, frame in rows
+                    if ctype.choose(frame) == alt
+                )
+                assert column + cert.normalization_coefficient <= 0, policy
 
     def test_feasible_partial_data_has_no_interim_violations(self):
         # dropping cells from representable data must never create a
-        # computable negative interval sum; in exact arithmetic the LP must
-        # also stay feasible (float-rounded mixtures need not, exactly)
+        # computable negative interval sum, and the LP must also stay
+        # feasible (float data within its band: see the full-domain test below)
         import random as pyrandom
 
         for seed in range(20):
@@ -405,6 +409,30 @@ class TestFeasibility:
             assert interim_violations(partial) == (), seed
             if n <= 3:
                 assert feasible_completion(partial).feasible, seed
+
+    @pytest.mark.parametrize("policy", [RATIONAL, FLOAT64], ids=["rational", "float64"])
+    def test_agrees_with_sign_test_on_full_domain(self, policy):
+        # Falmagne: on the full domain a mixture exists exactly when every
+        # polynomial is nonnegative, so the LP and the sign test must agree,
+        # also on float-rounded aggregates of a mixture
+        rng = random.Random(11)
+        verdicts = set()
+        for seed in range(8):
+            n = 2 + seed % 2
+            mu = sample_mu(SimConfig(seed=seed, n=n))
+            if policy.exact:
+                raw = {t: Fraction(w) for t, w in mu.weights.items()}
+                total = sum(raw.values())
+                mu = TypeDistribution(
+                    mu.universe, {t: w / total for t, w in raw.items()}, RATIONAL
+                )
+            mixture = forward_frum(mu, range(1 << n))
+            rule = random_rho(default_universe(n), rng, policy)
+            for data in (mixture, rule):
+                accepted = test_frum(data, with_witness=False).accepted
+                assert feasible_completion(data).feasible == accepted, (seed, n)
+                verdicts.add(accepted)
+        assert verdicts == {True, False}
 
     def test_infeasible_float_mode(self):
         text = "# universe: a|b|c\nframe,alternative,probability\n,a,0.7\nb,a,0.45\nc,a,0.45\nb|c,a,0.1\n"

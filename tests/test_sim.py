@@ -28,6 +28,12 @@ class TestConfig:
         with pytest.raises(DataError):
             SimConfig(seed=1, n=2, noise=-1.0)
 
+    def test_default_universe_bounds(self):
+        assert default_universe(20).names[-1] == "t"
+        for n in (-3, 0, 21, 25):
+            with pytest.raises(DataError, match=f"got {n}$"):
+                default_universe(n)
+
 
 class TestSampleMu:
     def test_deterministic(self):
