@@ -120,7 +120,7 @@ def _read_input(args: argparse.Namespace) -> tuple[str, str]:
     try:
         with open(args.infile, "rb") as fh:
             raw = fh.read()
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")  # a leading byte-order mark is dropped
     except OSError as exc:
         raise DataError(f"cannot read {args.infile}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Mapping, Union
 Number = Union[float, Fraction]
 
 MAX_UNIVERSE = 20  # lattice tables are O(n * 2^n)
+MAX_EXPONENT = 4300  # as Python's int digit limit; 1e-1000000 would build a 3.3M-bit Fraction
 _RESERVED = ("|", ",")
 
 
@@ -58,6 +59,9 @@ class NumericPolicy:
         text = text.strip()
         try:
             if self.exact:
+                _, marker, exponent = text.upper().partition("E")
+                if marker and abs(int(exponent)) > MAX_EXPONENT:
+                    raise ValueError("exponent out of range")
                 return Fraction(text)
             return float(Fraction(text)) if "/" in text else float(text)
         except (ValueError, ZeroDivisionError) as exc:
@@ -92,7 +96,8 @@ RATIONAL = NumericPolicy("rational")
 
 def number_to_str(x: Number) -> str:
     """Render a number losslessly (exact decimal for Fractions when possible)."""
-    if isinstance(x, Fraction):
+    # the exact-type test first: isinstance against Fraction goes through ABCMeta
+    if type(x) is not float and isinstance(x, Fraction):
         dec = _terminating_decimal(x)
         return dec if dec is not None else f"{x.numerator}/{x.denominator}"
     return repr(float(x))
@@ -100,7 +105,7 @@ def number_to_str(x: Number) -> str:
 
 def number_to_json(x: Number) -> object:
     """JSON encoding: floats stay numbers, Fractions become strings."""
-    return number_to_str(x) if isinstance(x, Fraction) else float(x)
+    return number_to_str(x) if type(x) is not float and isinstance(x, Fraction) else float(x)
 
 
 def _terminating_decimal(x: Fraction) -> str | None:
@@ -148,6 +153,15 @@ class Universe:
         for name in names:
             if not name or any(ch in name for ch in _RESERVED):
                 raise DataError(f"bad alternative label {name!r}")
+        # label lookup and per-instance frame codec memos; not dataclass
+        # fields, so equality, hash and repr still see only ``names``
+        object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
+        object.__setattr__(self, "_masks", {})
+        object.__setattr__(self, "_texts", {})
+
+    def __reduce__(self):
+        """Pickle by names alone; a copy fills its own memos."""
+        return (Universe, (self.names,))
 
     @property
     def n(self) -> int:
@@ -159,25 +173,44 @@ class Universe:
 
     def index(self, label: str) -> int:
         try:
-            return self.names.index(label)
-        except ValueError:
+            return self._index[label]
+        except KeyError:
             raise DataError(f"unknown alternative {label!r}") from None
 
     def frame(self, labels: Iterable[str] | str) -> int:
-        """Build a frame mask from labels (iterable, or a ``|``-joined string)."""
-        if isinstance(labels, str):
-            labels = [] if labels == "" else labels.split("|")
+        """Build a frame mask from labels (iterable, or a ``|``-joined string).
+
+        A string's mask is memoized once it parses; a failing string is not,
+        so it raises again on every call.
+        """
+        text = labels if isinstance(labels, str) else None
+        if text is not None:
+            mask = self._masks.get(text)
+            if mask is not None:
+                return mask
+            labels = [] if text == "" else text.split("|")
         mask = 0
         for label in labels:
             bit = 1 << self.index(label)
             if mask & bit:
                 raise DataError(f"duplicate label {label!r} in frame")
             mask |= bit
+        if text is not None:
+            # key on the string frame_str keeps: holding a cell of a parsed
+            # file instead would pin the freed memory around it
+            canonical = self.frame_str(mask)
+            self._masks[canonical] = mask
+            if text != canonical:
+                self._masks[text] = mask
         return mask
 
     def frame_str(self, mask: int) -> str:
-        """Canonical text form of a frame: ``|``-joined sorted labels."""
-        return "|".join(sorted(self.names[i] for i in members(mask)))
+        """Canonical text form of a frame: ``|``-joined sorted labels (memoized)."""
+        text = self._texts.get(mask)
+        if text is None:
+            text = "|".join(sorted(self.names[i] for i in members(mask)))
+            self._texts[mask] = text
+        return text
 
     def frames(self) -> Iterator[int]:
         """All 2^n frames in ascending mask order."""
@@ -238,24 +271,28 @@ class StochasticChoiceData:
     def __post_init__(self) -> None:
         n = self.universe.n
         full = self.universe.full_frame
-        per_frame: dict[int, list[int]] = {}
+        exact = self.policy.exact
+        native = Fraction if exact else float  # spares most cells the ABCMeta isinstance
+        floor = 0 if exact else -self.policy.eps  # is_nonneg(x) is x >= floor
+        counts: dict[int, int] = {}
+        totals: dict[int, Number] = {}  # 0 + p1 + p2 ..., in row order, as sum() adds
         for (alt, frame), p in self.probs.items():
             if not 0 <= alt < n:
                 raise DataError(f"alternative index {alt} out of range")
             if not 0 <= frame <= full:
                 raise DataError(f"frame mask {frame} out of range")
-            if self.policy.exact != isinstance(p, Fraction):
+            if type(p) is not native and exact != isinstance(p, Fraction):
                 raise DataError("probability representation does not match numeric mode")
-            if not (self.policy.is_nonneg(p) and self.policy.is_nonneg(1 - p)):
+            if not (p >= floor and 1 - p >= floor):
                 raise DataError(
                     f"probability {number_to_str(p)} for ({self.universe.names[alt]!r}, "
                     f"{self.universe.frame_str(frame)!r}) outside [0,1]"
                 )
-            per_frame.setdefault(frame, []).append(alt)
+            counts[frame] = counts.get(frame, 0) + 1
+            totals[frame] = totals.get(frame, 0) + p
         partial = False
-        for frame, alts in per_frame.items():
-            total = sum(self.probs[(a, frame)] for a in alts)
-            if len(alts) == n:
+        for frame, total in totals.items():
+            if counts[frame] == n:
                 if not self.policy.is_close(total, self.policy.one(), scale=n):
                     raise DataError(
                         f"frame sum for {self.universe.frame_str(frame)!r} is "
@@ -268,7 +305,7 @@ class StochasticChoiceData:
                         f"observed mass {number_to_str(total)} at partial frame "
                         f"{self.universe.frame_str(frame)!r} exceeds 1"
                     )
-        object.__setattr__(self, "domain", tuple(sorted(per_frame)))
+        object.__setattr__(self, "domain", tuple(sorted(totals)))
         object.__setattr__(self, "partial", partial)
 
     def rho(self, alt: int, frame: int) -> Number:
@@ -392,7 +429,8 @@ class DeterministicChoiceData:
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(text: str, header: list[str]) -> tuple[list[list[str]], Universe | None]:
+def _read_columns(text: str, header: list[str]) -> tuple[list[list[str]], Universe | None]:
+    """The body's stripped cells, one list per header field, and any ``# universe:``."""
     explicit: Universe | None = None
     lines = []
     for raw in text.splitlines():
@@ -412,16 +450,18 @@ def _read_rows(text: str, header: list[str]) -> tuple[list[list[str]], Universe 
     got = [cell.strip() for cell in rows[0]]
     if got != header:
         raise DataError(f"expected header {','.join(header)!r}, got {','.join(got)!r}")
-    body_rows = []
-    for row in rows[1:]:
-        cells = [cell.strip() for cell in row]
-        if len(cells) != len(header):
-            raise DataError(f"row {row!r} has {len(cells)} fields, expected {len(header)}")
-        body_rows.append(cells)
-    return body_rows, explicit
+    body = rows[1:]
+    for row in body:
+        if len(row) != len(header):
+            raise DataError(f"row {row!r} has {len(row)} fields, expected {len(header)}")
+    return [[row[i].strip() for row in body] for i in range(len(header))], explicit
 
 
-def _infer_universe(labels: set[str]) -> Universe:
+def _infer_universe(alts: list[str], frames: list[str]) -> Universe:
+    """The sorted labels of the alternative column and of every frame."""
+    labels = set(alts)
+    for frame_s in set(frames):
+        labels.update(lbl for lbl in frame_s.split("|") if lbl)
     if not labels:
         raise DataError("cannot infer a universe from empty data; add a '# universe:' header")
     return Universe(tuple(sorted(labels)))
@@ -440,22 +480,15 @@ def parse_stochastic(
     only some alternatives are rejected unless ``allow_partial`` is set; they
     are never renormalized.
     """
-    rows, explicit = _read_rows(text, ["frame", "alternative", "probability"])
-    if explicit is None:
-        seen: set[str] = set()
-        for frame_s, alt_s, _ in rows:
-            seen.add(alt_s)
-            seen.update(lbl for lbl in frame_s.split("|") if lbl)
-        universe = _infer_universe(seen)
-    else:
-        universe = explicit
-
+    (frames, alts, ps), explicit = _read_columns(text, ["frame", "alternative", "probability"])
+    universe = explicit or _infer_universe(alts, frames)
+    index, frame, parse = universe.index, universe.frame, policy.parse
     probs: dict[tuple[int, int], Number] = {}
-    for frame_s, alt_s, p_s in rows:
-        key = (universe.index(alt_s), universe.frame(frame_s))
+    for frame_s, alt_s, p_s in zip(frames, alts, ps):
+        key = (index(alt_s), frame(frame_s))
         if key in probs:
             raise DataError(f"duplicate row for ({alt_s!r}, {frame_s!r})")
-        probs[key] = policy.parse(p_s)
+        probs[key] = parse(p_s)
     data = StochasticChoiceData(universe, probs, policy)
     if data.partial and not allow_partial:
         bad = [f for f in data.domain if not data.is_complete_frame(f)]
@@ -468,18 +501,10 @@ def parse_stochastic(
 
 def parse_deterministic(text: str) -> DeterministicChoiceData:
     """Parse ``frame,choice`` CSV content into a deterministic choice rule."""
-    rows, explicit = _read_rows(text, ["frame", "choice"])
-    if explicit is None:
-        seen: set[str] = set()
-        for frame_s, choice_s in rows:
-            seen.add(choice_s)
-            seen.update(lbl for lbl in frame_s.split("|") if lbl)
-        universe = _infer_universe(seen)
-    else:
-        universe = explicit
-
+    (frames, picks), explicit = _read_columns(text, ["frame", "choice"])
+    universe = explicit or _infer_universe(picks, frames)
     choices: dict[int, int] = {}
-    for frame_s, choice_s in rows:
+    for frame_s, choice_s in zip(frames, picks):
         frame = universe.frame(frame_s)
         if frame in choices:
             raise DataError(f"duplicate row for frame {frame_s!r}")

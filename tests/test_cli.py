@@ -47,6 +47,13 @@ class TestExitCodes:
         bad = tmp_path / "bad.csv"
         bad.write_text("frame,alternative,probability\n,a,0.7\n,b,0.25\n")
         assert run(["test-frum", "--in", str(bad)]) == 1
+        capsys.readouterr()
+        # a rational literal whose exponent would build a multi-million-bit Fraction
+        for literal in ("1e999999999", "1e-1000000"):
+            bad.write_text(f"frame,alternative,probability\n,a,{literal}\n,b,0\n")
+            assert run(["validate", "--in", str(bad), "--numeric", "rational"]) == 1, literal
+            err = capsys.readouterr().err
+            assert err == f"error: bad number literal {literal!r}\n", literal
 
     def test_negative_epsilon_is_usage_error(self, capsys):
         # an infinite or NaN tolerance is as unusable as a negative one
@@ -76,6 +83,16 @@ class TestExitCodes:
         assert run(["validate", "--in", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_byte_order_mark_is_accepted(self, tmp_path, capsys):
+        original = DATA_DIR / "intro_full.csv"
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+        for command, code in (("validate", 0), ("test-frum", 2)):
+            plain = run_json([command, "--in", str(original)], capsys, code)
+            bom = run_json([command, "--in", str(marked)], capsys, code)
+            assert bom["report"] == plain["report"], command
+            assert bom["input_digest"] != plain["input_digest"]  # digest of the raw bytes
 
     def test_rejection_is_exit_two(self, capsys):
         path = str(DATA_DIR / "intro_full.csv")

@@ -1,5 +1,6 @@
 """Parsing, validation, numeric policy, and frame encoding."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,8 @@ from framechoice.core import (
     parse_stochastic,
     validate,
 )
+from framechoice.fluce import forward_fluce
+from framechoice.sim import SimConfig, default_universe, sample_fluce
 
 
 class TestUniverse:
@@ -147,6 +150,52 @@ class TestParseStochastic:
             second = parse_stochastic(first.to_csv(), policy)
             assert dict(second.probs) == dict(first.probs)
             assert second.universe == first.universe
+        # full domain at n = 6: every frame's text is parsed and rendered n times
+        uni = default_universe(6)
+        rule = sample_fluce(SimConfig(seed=6, n=6))
+        for policy in (FLOAT64, RATIONAL):
+            text = forward_fluce(rule, uni.frames(), policy).to_csv()
+            first = parse_stochastic(text, policy)
+            second = parse_stochastic(first.to_csv(), policy)
+            assert first.full_domain and len(first.probs) == 6 << 6
+            assert dict(second.probs) == dict(first.probs)
+            assert second.universe == first.universe
+            assert second.to_csv() == first.to_csv() == text
+
+    def test_duplicate_label_in_frame_fails_every_time(self):
+        # a failing frame string is not memoized: both rows and both parses raise
+        text = "frame,alternative,probability\na|a,a,0.5\na|a,b,0.5\n"
+        for _ in range(2):
+            with pytest.raises(DataError, match=r"^duplicate label 'a' in frame$"):
+                parse_stochastic(text, FLOAT64)
+        uni = Universe(("a", "b"))
+        for _ in range(2):
+            with pytest.raises(DataError, match=r"^duplicate label 'a' in frame$"):
+                uni.frame("a|a")
+
+    def test_label_order_in_frame_is_one_frame(self):
+        text = "# universe: a|b\nframe,alternative,probability\na|b,a,0.5\nb|a,a,0.5\n"
+        with pytest.raises(DataError, match=r"^duplicate row for \('a', 'b\|a'\)$"):
+            parse_stochastic(text, FLOAT64, allow_partial=True)
+
+    def test_unknown_label_in_either_column(self):
+        head = "# universe: a|b\nframe,alternative,probability\n"
+        for body in ("a|z,a,1\n", "a|b,z,1\n"):
+            for _ in range(2):
+                with pytest.raises(DataError, match=r"^unknown alternative 'z'$"):
+                    parse_stochastic(head + body, FLOAT64, allow_partial=True)
+
+    def test_frame_memos_leave_identity_alone(self):
+        used = Universe(("a", "b", "c"))
+        assert used.frame("c|a") == 0b101
+        assert used.frame_str(0b101) == "a|c"
+        with pytest.raises(DataError):
+            used.frame("a|q")
+        fresh = Universe(("a", "b", "c"))
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        copy = pickle.loads(pickle.dumps(used))
+        assert copy == fresh and hash(copy) == hash(fresh) and repr(copy) == repr(fresh)
+        assert copy.frame("c|a") == 0b101 and copy.frame_str(0b110) == "b|c"
 
 
 class TestParseDeterministic:
