@@ -180,15 +180,16 @@ class Universe:
     def frame(self, labels: Iterable[str] | str) -> int:
         """Build a frame mask from labels (iterable, or a ``|``-joined string).
 
-        A string's mask is memoized once it parses; a failing string is not,
-        so it raises again on every call.
+        Blanks around each label of a string are ignored.  A string's mask is
+        memoized once it parses; a failing string is not, so it raises again
+        on every call.
         """
         text = labels if isinstance(labels, str) else None
         if text is not None:
             mask = self._masks.get(text)
             if mask is not None:
                 return mask
-            labels = [] if text == "" else text.split("|")
+            labels = [] if text == "" else [label.strip() for label in text.split("|")]
         mask = 0
         for label in labels:
             bit = 1 << self.index(label)
@@ -461,7 +462,7 @@ def _infer_universe(alts: list[str], frames: list[str]) -> Universe:
     """The sorted labels of the alternative column and of every frame."""
     labels = set(alts)
     for frame_s in set(frames):
-        labels.update(lbl for lbl in frame_s.split("|") if lbl)
+        labels.update(filter(None, (lbl.strip() for lbl in frame_s.split("|"))))
     if not labels:
         raise DataError("cannot infer a universe from empty data; add a '# universe:' header")
     return Universe(tuple(sorted(labels)))

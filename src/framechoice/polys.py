@@ -8,8 +8,8 @@ For a stochastic rule ``rho`` the table holds, per alternative ``a``:
 On the subset lattice drawn as a diagram, ``q`` values label down-edges
 between adjacent frames and ``y`` values label per-alternative leakages out of
 a node; total inflow equals outflow plus leakage at every node for *any*
-choice rule, which :func:`flow_residuals` verifies.  Interim variants truncate
-the alternating sum to an observed interval so partial data can still falsify.
+choice rule.  Interim variants truncate the alternating sum to an observed
+interval so partial data can still falsify.
 """
 
 from __future__ import annotations
@@ -161,38 +161,6 @@ def interim_q(data: StochasticChoiceData, alt: int, lo: int, hi: int) -> Number:
     if not lo & (1 << alt):
         raise DataError("interim q requires the alternative inside the lower frame")
     return _interval_sum(data, alt, lo, hi)
-
-
-# ---------------------------------------------------------------------------
-# flow conservation
-# ---------------------------------------------------------------------------
-
-
-def flow_residuals(table: BMTable) -> dict[int, Number]:
-    """Outflow plus leakage minus inflow at every node; all zero for any rule.
-
-    Inflow at the top node is defined as 1 (the grand-frame q values sum to
-    the grand-frame probabilities).
-    """
-    n = table.universe.n
-    size = 1 << n
-    out: dict[int, Number] = {}
-    for frame in range(size):
-        total = table.policy.zero()
-        for alt in range(n):
-            if frame & (1 << alt):
-                total += table.q(alt, frame)
-            else:
-                total += table.y(alt, frame)
-        if frame == size - 1:
-            inflow: Number = table.policy.one()
-        else:
-            inflow = table.policy.zero()
-            for alt in range(n):
-                if not frame & (1 << alt):
-                    inflow += table.q(alt, frame | (1 << alt))
-        out[frame] = total - inflow
-    return out
 
 
 # ---------------------------------------------------------------------------

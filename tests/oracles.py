@@ -63,3 +63,32 @@ def branch_weight(table, ctype):
         weight = weight * table.q(x, node) / through(node)
         node &= ~(1 << x)
     return weight * table.y(ctype.default, node) / through(node)
+
+
+def flow_residuals(table) -> dict[int, object]:
+    """Outflow plus leakage minus inflow at every node; all zero for any rule.
+
+    Drawing the lattice as a diagram with ``q`` as edge flows and ``y`` as
+    leakages, inflow equals outflow plus leakage at every node for *any*
+    choice rule.  Inflow at the top node is defined as 1 (the grand-frame
+    ``q`` values sum to the grand-frame probabilities).
+    """
+    n = table.universe.n
+    size = 1 << n
+    out = {}
+    for frame in range(size):
+        total = table.policy.zero()
+        for alt in range(n):
+            if frame & (1 << alt):
+                total += table.q(alt, frame)
+            else:
+                total += table.y(alt, frame)
+        if frame == size - 1:
+            inflow = table.policy.one()
+        else:
+            inflow = table.policy.zero()
+            for alt in range(n):
+                if not frame & (1 << alt):
+                    inflow += table.q(alt, frame | (1 << alt))
+        out[frame] = total - inflow
+    return out

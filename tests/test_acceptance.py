@@ -45,11 +45,11 @@ from framechoice.frum import (
     recover_constructive,
     test_frum,
 )
-from framechoice.polys import compute_bm, flow_residuals, interim_q
+from framechoice.polys import compute_bm, interim_q
 from framechoice.sim import SimConfig, default_universe, sample_fluce, sample_mu, stream
 
 from conftest import AB, A, B, EMPTY, load_fixture, random_rho, table3_data
-from oracles import branch_weight
+from oracles import branch_weight, flow_residuals
 
 F = Fraction
 

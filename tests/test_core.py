@@ -185,6 +185,19 @@ class TestParseStochastic:
                 with pytest.raises(DataError, match=r"^unknown alternative 'z'$"):
                     parse_stochastic(head + body, FLOAT64, allow_partial=True)
 
+    def test_blanks_around_frame_labels_are_stripped(self):
+        # as in the alternative column; a padded label is not a new alternative
+        padded = parse_stochastic("frame,alternative,probability\nb | a,b,0.5\n", allow_partial=True)
+        plain = parse_stochastic("frame,alternative,probability\na|b,b,0.5\n", allow_partial=True)
+        assert padded.universe == plain.universe == Universe(("a", "b"))
+        assert dict(padded.probs) == dict(plain.probs) == {(1, 0b11): 0.5}
+        report = validate(padded).to_json_dict(padded.universe)
+        assert report == validate(plain).to_json_dict(plain.universe)
+        full = "frame,alternative,probability\n a | b ,a,0.4\nb|a, b ,0.6\n"
+        assert dict(parse_stochastic(full).probs) == {(0, 0b11): 0.4, (1, 0b11): 0.6}
+        with pytest.raises(DataError, match=r"^unknown alternative ''$"):
+            Universe(("a", "b")).frame("a| |b")
+
     def test_frame_memos_leave_identity_alone(self):
         used = Universe(("a", "b", "c"))
         assert used.frame("c|a") == 0b101

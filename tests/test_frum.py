@@ -340,6 +340,32 @@ class TestFeasibility:
         again = forward_frum(result.witness, data.domain)
         assert dict(again.probs) == dict(data.probs)
 
+    def test_uniform_mixture_over_every_type_at_n5(self, tmp_path, capsys):
+        # 1,305 types on the frames of size <= 2, decided through the command
+        import json
+
+        from framechoice.cli import run
+        from framechoice.detfum import enumerate_types
+
+        uni = default_universe(5)
+        types = enumerate_types(uni)
+        assert len(types) == 1305
+        mu = TypeDistribution(uni, {t: Fraction(1, len(types)) for t in types}, RATIONAL)
+        data = forward_frum(mu, [f for f in range(1 << 5) if bin(f).count("1") <= 2])
+        path = tmp_path / "uniform_n5.csv"
+        path.write_text(data.to_csv())
+        assert run(["feasible", "--numeric", "rational", "--in", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["feasible"] is True
+        names = uni.names
+        weights = {}
+        for entry in report["witness"]["weights"]:
+            prio = tuple(names.index(a) for a in entry["priority"])
+            ctype = ChoiceType(prio, prio.index(names.index(entry["default"])) + 1)
+            weights[ctype] = Fraction(entry["weight"])
+        witness = TypeDistribution(uni, weights, RATIONAL)
+        assert dict(forward_frum(witness, data.domain).probs) == dict(data.probs)
+
     def test_single_observation_feasible(self):
         text = "# universe: a|b\nframe,alternative,probability\n,a,0.5\n"
         data = parse_stochastic(text, RATIONAL, allow_partial=True)

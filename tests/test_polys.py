@@ -17,14 +17,13 @@ from framechoice.core import (
 from framechoice.polys import (
     compute_bm,
     export_hasse,
-    flow_residuals,
     interim_q,
     interim_y,
 )
 from framechoice.sim import default_universe
 
 from conftest import AB, A, B, EMPTY, random_rho, table3_data
-from oracles import naive_bm
+from oracles import flow_residuals, naive_bm
 
 
 class TestGoldens:
