@@ -3,9 +3,10 @@
 Every report is wrapped in a run envelope carrying the command name, a
 content digest of the input, and the numeric mode, so identical inputs and
 flags produce identical verdict bodies; wall-clock timings live in their own
-field and take no part in that guarantee.  Exit codes: 0 on success or
-acceptance, 2 when an analysis rejects the model (the report still prints),
-1 on usage or data errors.
+field and take no part in that guarantee.  Raw text output (``hasse --dot``,
+CSV data from ``simulate``) is printed without the envelope.  Exit codes: 0 on
+success or acceptance, 2 when an analysis rejects the model (the report still
+prints), 1 on usage or data errors.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from . import __version__
 from .core import (
     DataError,
     NumericPolicy,
-    StochasticChoiceData,
     Universe,
     dumps_json,
     parse_deterministic,
@@ -44,7 +44,9 @@ from .fluce import (
 )
 from .frum import (
     FrumRejectionError,
+    TypeDistribution,
     feasible_completion,
+    forward_frum,
     recover_branch_independent,
     recover_constructive,
     test_frum,
@@ -73,21 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, metavar="S")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("validate", parents=[common])
-    sub.add_parser("bm", parents=[common])
-    hasse = sub.add_parser("hasse", parents=[common])
-    hasse.add_argument("--dot", action="store_true", help="emit a DOT graph instead of JSON")
-    sub.add_parser("test-fum", parents=[common])
-    sub.add_parser("repr-fum", parents=[common])
-    enum = sub.add_parser("enumerate-types", parents=[common])
-    enum.add_argument("--n", type=int, required=True)
-    sub.add_parser("test-frum", parents=[common])
-    recover = sub.add_parser("recover", parents=[common])
-    recover.add_argument("--method", choices=["branch", "constructive"], default="branch")
-    sub.add_parser("feasible", parents=[common])
-    sub.add_parser("test-fluce", parents=[common])
-    sub.add_parser("fit-fluce", parents=[common])
-    pre = sub.add_parser("preset", parents=[common])
+    cmd = {name: sub.add_parser(name, parents=[common]) for name in _COMMANDS}
+    cmd["hasse"].add_argument("--dot", action="store_true", help="emit a DOT graph instead of JSON")
+    cmd["enumerate-types"].add_argument("--n", type=int, required=True)
+    cmd["recover"].add_argument("--method", choices=["branch", "constructive"], default="branch")
+    pre = cmd["preset"]
     pre.add_argument(
         "--kind", choices=["constant_boost", "constant_base", "proportional"], required=True
     )
@@ -97,13 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--boost", help="shared boost value")
     pre.add_argument("--base", help="shared base weight")
     pre.add_argument("--scale", help="proportional factor")
-    sub.add_parser("embed-check", parents=[common])
-    simp = sub.add_parser("simulate", parents=[common])
+    simp = cmd["simulate"]
     simp.add_argument("--kind", choices=["mu", "fluce"], required=True)
     simp.add_argument("--n", type=int, required=True)
     simp.add_argument("--sparsity", type=float, default=1.0)
     simp.add_argument("--emit", choices=["params", "data"], default="params")
-    plot = sub.add_parser("plot", parents=[common])
+    plot = cmd["plot"]
     plot.add_argument("--targets", help="comma-separated target frames (| joins labels)")
     plot.add_argument("--project", help="three labels to project larger universes onto")
     return parser
@@ -137,201 +128,209 @@ def _parse_numbers(text: str, policy: NumericPolicy) -> tuple:
     return tuple(policy.parse(part) for part in text.split(","))
 
 
-def _execute(args: argparse.Namespace) -> tuple[int, object, bool]:
-    """Returns (exit code, payload, raw); raw payloads skip the JSON envelope."""
+def _stochastic(text: str, policy: NumericPolicy):
+    return parse_stochastic(text, policy)
+
+
+def _partial(text: str, policy: NumericPolicy):
+    return parse_stochastic(text, policy, allow_partial=True)
+
+
+def _deterministic(text: str, policy: NumericPolicy):
+    return parse_deterministic(text)
+
+
+def _parameters(text: str, policy: NumericPolicy):
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"malformed parameter file: {exc}") from exc
+    return FLuceParams.from_json_dict(payload)
+
+
+def _validate(data, args, policy):
+    return OK, validate(data).to_json_dict(data.universe)
+
+
+def _bm(data, args, policy):
+    return OK, compute_bm(data).to_json_dict()
+
+
+def _hasse(data, args, policy):
+    graph = export_hasse(compute_bm(data))
+    return OK, (graph.to_dot() + "\n" if args.dot else graph.to_json_dict())
+
+
+def _test_fum(data, args, policy):
+    report = check_iifa(data)
+    return (OK if report.iifa else REJECTED), report.to_json_dict(data.universe)
+
+
+def _repr_fum(data, args, policy):
+    try:
+        rep = build_fum_representation(data)
+    except IIFAViolationError as exc:
+        return REJECTED, {"error": str(exc), "axioms": exc.report.to_json_dict(data.universe)}
+    return OK, rep.to_json_dict()
+
+
+def _enumerate_types(_, args, policy):
+    universe = default_universe(args.n)
+    types = enumerate_types(universe)
+    names = universe.names
+    listed = [
+        {"priority": [names[a] for a in t.priority], "default": names[t.default]} for t in types
+    ]
+    return OK, {"n": args.n, "count": len(types), "types": listed}
+
+
+def _test_frum(data, args, policy):
+    verdict = test_frum(data)
+    rejected = bool(verdict.violations) or (verdict.complete_domain and not verdict.accepted)
+    return (REJECTED if rejected else OK), verdict.to_json_dict(data.universe)
+
+
+def _recover(data, args, policy):
+    method = recover_branch_independent if args.method == "branch" else recover_constructive
+    try:
+        mu = method(data)
+    except FrumRejectionError as exc:
+        return REJECTED, {"error": str(exc), "verdict": exc.verdict.to_json_dict(data.universe)}
+    return OK, mu.to_json_dict()
+
+
+def _feasible(data, args, policy):
+    result = feasible_completion(data)
+    return (OK if result.feasible else REJECTED), result.to_json_dict(data.universe)
+
+
+def _test_fluce(data, args, policy):
+    result = test_fluce(data)
+    return (OK if result.accepted else REJECTED), result.to_json_dict(data.universe)
+
+
+def _fit_fluce(data, args, policy):
+    try:
+        params = fit_fluce(data)
+    except FitRejectionError as exc:
+        return REJECTED, {"error": str(exc)}
+    return OK, params.to_json_dict()
+
+
+def _preset(_, args, policy):
+    if not args.labels:
+        raise DataError("preset requires --labels")
+    params = preset(
+        args.kind,
+        Universe(tuple(args.labels.split(","))),
+        u=_parse_numbers(args.u, policy) if args.u else None,
+        v=_parse_numbers(args.v, policy) if args.v else None,
+        boost=policy.parse(args.boost) if args.boost else None,
+        base=policy.parse(args.base) if args.base else None,
+        scale=policy.parse(args.scale) if args.scale else None,
+    )
+    return OK, params.to_json_dict()
+
+
+def _embed_check(params, args, policy):
+    verdict = embed_check(params)
+    return (OK if verdict.accepted else REJECTED), verdict.to_json_dict(params.universe)
+
+
+def _simulate(_, args, policy):
+    config = SimConfig(seed=args.seed, n=args.n, sparsity=args.sparsity)
+    model = sample_mu(config) if args.kind == "mu" else sample_fluce(config)
+    if args.emit == "params":
+        return OK, model.to_json_dict()
+    frames = range(1 << args.n)
+    if args.kind == "fluce":
+        data = forward_fluce(model, frames, policy)
+    elif policy.exact:
+        # the sampled float weights, made exact, sum to one only once rescaled
+        weights = {t: policy.convert(w) for t, w in model.weights.items()}
+        total = sum(weights.values())
+        exact = {t: w / total for t, w in weights.items()}
+        data = forward_frum(TypeDistribution(model.universe, exact, policy), frames)
+    else:
+        data = forward_frum(model, frames)
+    return OK, (data.to_csv() if args.format == "csv" else data.to_json_dict())
+
+
+def _plot(data, args, policy):
+    if args.project:
+        labels = args.project.split(",")
+        if len(labels) != 3:
+            raise DataError("--project needs exactly three labels")
+        plot = projected_points(data, tuple(data.universe.index(lbl) for lbl in labels))
+        return OK, {"plot": plot.to_json_dict(), "containment": {}}
+    targets = None
+    if args.targets is not None:
+        targets = [data.universe.frame(part) for part in args.targets.split(",")]
+    plot = plot_simplex(data, targets)
+    containment: dict[str, bool | None] = {}
+    for region in plot.regions:
+        frame = data.universe.frame(region.label)
+        if data.is_complete_frame(frame) and frame in data.domain:
+            point = tuple(data.probs[(a, frame)] for a in range(3))
+            containment[region.label] = region_contains(region.vertices, point)
+        else:
+            containment[region.label] = None
+    return OK, {"plot": plot.to_json_dict(), "containment": containment}
+
+
+# name -> (input, analysis).  The input is a parser of the --in text (the
+# digest is over the file's bytes) or the flags that the digest covers.  An
+# analysis returns the exit code and a body: a dict goes into the envelope, a
+# str is printed as it is.  Parsers and analyses call the library through this
+# module's names at call time, so a wrapper put on such a name sees every call.
+_COMMANDS = {
+    "validate": (_partial, _validate),
+    "bm": (_stochastic, _bm),
+    "hasse": (_stochastic, _hasse),
+    "test-fum": (_deterministic, _test_fum),
+    "repr-fum": (_deterministic, _repr_fum),
+    "enumerate-types": (("n",), _enumerate_types),
+    "test-frum": (_partial, _test_frum),
+    "recover": (_stochastic, _recover),
+    "feasible": (_partial, _feasible),
+    "test-fluce": (_stochastic, _test_fluce),
+    "fit-fluce": (_stochastic, _fit_fluce),
+    "preset": (("kind", "labels", "u", "v", "boost", "base", "scale"), _preset),
+    "embed-check": (_parameters, _embed_check),
+    "simulate": (("kind", "n", "seed", "sparsity", "emit"), _simulate),
+    "plot": (_stochastic, _plot),
+}
+
+
+def _execute(args: argparse.Namespace) -> tuple[int, dict | str]:
+    """Returns the exit code and either the enveloped report or raw text."""
     policy = _policy(args)
-    command = args.command
-
-    if command == "validate":
+    source, analyse = _COMMANDS[args.command]
+    if isinstance(source, tuple):
+        subject, digest = None, _args_digest(args, ["command", *source])
+    else:
         text, digest = _read_input(args)
-        data = parse_stochastic(text, policy, allow_partial=True)
-        report = validate(data)
-        return OK, _envelope(args, digest, report.to_json_dict(data.universe)), False
-
-    if command == "bm":
-        text, digest = _read_input(args)
-        data = parse_stochastic(text, policy)
-        table = compute_bm(data)
-        return OK, _envelope(args, digest, table.to_json_dict()), False
-
-    if command == "hasse":
-        text, digest = _read_input(args)
-        data = parse_stochastic(text, policy)
-        graph = export_hasse(compute_bm(data))
-        if args.dot:
-            return OK, graph.to_dot() + "\n", True
-        return OK, _envelope(args, digest, graph.to_json_dict()), False
-
-    if command == "test-fum":
-        text, digest = _read_input(args)
-        data = parse_deterministic(text)
-        report = check_iifa(data)
-        code = OK if report.iifa else REJECTED
-        return code, _envelope(args, digest, report.to_json_dict(data.universe)), False
-
-    if command == "repr-fum":
-        text, digest = _read_input(args)
-        data = parse_deterministic(text)
-        try:
-            rep = build_fum_representation(data)
-        except IIFAViolationError as exc:
-            body = {"error": str(exc), "axioms": exc.report.to_json_dict(data.universe)}
-            return REJECTED, _envelope(args, digest, body), False
-        return OK, _envelope(args, digest, rep.to_json_dict()), False
-
-    if command == "enumerate-types":
-        digest = _args_digest(args, ["command", "n"])
-        universe = default_universe(args.n)
-        types = enumerate_types(universe)
-        names = universe.names
-        body = {
-            "n": args.n,
-            "count": len(types),
-            "types": [
-                {
-                    "priority": [names[a] for a in t.priority],
-                    "default": names[t.default],
-                }
-                for t in types
-            ],
-        }
-        return OK, _envelope(args, digest, body), False
-
-    if command == "test-frum":
-        text, digest = _read_input(args)
-        data = parse_stochastic(text, policy, allow_partial=True)
-        verdict = test_frum(data)
-        rejected = bool(verdict.violations) or (verdict.complete_domain and not verdict.accepted)
-        return (
-            REJECTED if rejected else OK,
-            _envelope(args, digest, verdict.to_json_dict(data.universe)),
-            False,
-        )
-
-    if command == "recover":
-        text, digest = _read_input(args)
-        data = parse_stochastic(text, policy)
-        method = recover_branch_independent if args.method == "branch" else recover_constructive
-        try:
-            mu = method(data)
-        except FrumRejectionError as exc:
-            body = {"error": str(exc), "verdict": exc.verdict.to_json_dict(data.universe)}
-            return REJECTED, _envelope(args, digest, body), False
-        return OK, _envelope(args, digest, mu.to_json_dict()), False
-
-    if command == "feasible":
-        text, digest = _read_input(args)
-        data = parse_stochastic(text, policy, allow_partial=True)
-        result = feasible_completion(data)
-        code = OK if result.feasible else REJECTED
-        return code, _envelope(args, digest, result.to_json_dict(data.universe)), False
-
-    if command == "test-fluce":
-        text, digest = _read_input(args)
-        data = parse_stochastic(text, policy)
-        result = test_fluce(data)
-        code = OK if result.accepted else REJECTED
-        return code, _envelope(args, digest, result.to_json_dict(data.universe)), False
-
-    if command == "fit-fluce":
-        text, digest = _read_input(args)
-        data = parse_stochastic(text, policy)
-        try:
-            params = fit_fluce(data)
-        except FitRejectionError as exc:
-            return REJECTED, _envelope(args, digest, {"error": str(exc)}), False
-        return OK, _envelope(args, digest, params.to_json_dict()), False
-
-    if command == "preset":
-        digest = _args_digest(
-            args, ["command", "kind", "labels", "u", "v", "boost", "base", "scale"]
-        )
-        if not args.labels:
-            raise DataError("preset requires --labels")
-        universe = Universe(tuple(args.labels.split(",")))
-        params = preset(
-            args.kind,
-            universe,
-            u=_parse_numbers(args.u, policy) if args.u else None,
-            v=_parse_numbers(args.v, policy) if args.v else None,
-            boost=policy.parse(args.boost) if args.boost else None,
-            base=policy.parse(args.base) if args.base else None,
-            scale=policy.parse(args.scale) if args.scale else None,
-        )
-        return OK, _envelope(args, digest, params.to_json_dict()), False
-
-    if command == "embed-check":
-        text, digest = _read_input(args)
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"malformed parameter file: {exc}") from exc
-        params = FLuceParams.from_json_dict(payload)
-        verdict = embed_check(params)
-        code = OK if verdict.accepted else REJECTED
-        return code, _envelope(args, digest, verdict.to_json_dict(params.universe)), False
-
-    if command == "simulate":
-        digest = _args_digest(args, ["command", "kind", "n", "seed", "sparsity", "emit"])
-        config = SimConfig(seed=args.seed, n=args.n, sparsity=args.sparsity)
-        if args.kind == "mu":
-            mu = sample_mu(config)
-            if args.emit == "data":
-                from .frum import forward_frum
-
-                data = forward_frum(mu, range(1 << args.n))
-                return _emit_data(args, digest, data)
-            return OK, _envelope(args, digest, mu.to_json_dict()), False
-        params = sample_fluce(config)
-        if args.emit == "data":
-            data = forward_fluce(params, range(1 << args.n), policy)
-            return _emit_data(args, digest, data)
-        return OK, _envelope(args, digest, params.to_json_dict()), False
-
-    if command == "plot":
-        text, digest = _read_input(args)
-        data = parse_stochastic(text, policy)
-        if args.project:
-            labels = args.project.split(",")
-            if len(labels) != 3:
-                raise DataError("--project needs exactly three labels")
-            alts = tuple(data.universe.index(lbl) for lbl in labels)
-            plot = projected_points(data, alts)
-            body = {"plot": plot.to_json_dict(), "containment": {}}
-            return OK, _envelope(args, digest, body), False
-        targets = None
-        if args.targets is not None:
-            targets = [data.universe.frame(part) for part in args.targets.split(",")]
-        plot = plot_simplex(data, targets)
-        containment: dict[str, bool | None] = {}
-        for region in plot.regions:
-            frame = data.universe.frame(region.label)
-            if data.is_complete_frame(frame) and frame in data.domain:
-                point = tuple(data.probs[(a, frame)] for a in range(3))
-                containment[region.label] = region_contains(region.vertices, point)
-            else:
-                containment[region.label] = None
-        body = {"plot": plot.to_json_dict(), "containment": containment}
-        return OK, _envelope(args, digest, body), False
-
-    raise DataError(f"unknown command {command!r}")  # pragma: no cover
-
-
-def _emit_data(
-    args: argparse.Namespace, digest: str, data: StochasticChoiceData
-) -> tuple[int, object, bool]:
-    if args.format == "csv":
-        return OK, data.to_csv(), True
-    return OK, _envelope(args, digest, data.to_json_dict()), False
-
-
-def _envelope(args: argparse.Namespace, digest: str, body: dict) -> dict:
-    return {
+        subject = source(text, policy)
+    code, body = analyse(subject, args, policy)
+    if isinstance(body, str):
+        return code, body
+    return code, {
         "command": args.command,
         "input_digest": digest,
-        "numeric_mode": _policy(args).mode,
+        "numeric_mode": policy.mode,
         "report": body,
     }
+
+
+def _write(path: str | None, text: str) -> None:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def run(argv: list[str]) -> int:
@@ -343,20 +342,14 @@ def run(argv: list[str]) -> int:
         return OK if exc.code in (0, None) else USAGE
     started = time.perf_counter()
     try:
-        code, payload, raw = _execute(args)
+        code, payload = _execute(args)
+        if not isinstance(payload, str):
+            payload["timings"] = {"total_ms": round(1000 * (time.perf_counter() - started), 3)}
+            payload = dumps_json(payload) + "\n"
+        _write(args.outfile, payload)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    if raw:
-        text = payload if isinstance(payload, str) else str(payload)
-    else:
-        payload["timings"] = {"total_ms": round(1000 * (time.perf_counter() - started), 3)}
-        text = dumps_json(payload) + "\n"
-    if args.outfile:
-        with open(args.outfile, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -21,6 +21,16 @@ b,b,0.9
 ,b,0.4
 """
 
+NOT_FLUCE_CSV = """# universe: a|b
+frame,alternative,probability
+,a,0.6
+,b,0.4
+a,a,0.5
+a,b,0.5
+b,a,0.1
+b,b,0.9
+"""
+
 
 @pytest.fixture
 def table3_file(tmp_path):
@@ -34,6 +44,23 @@ def run_json(argv, capsys, expect_code):
     out = capsys.readouterr().out
     assert code == expect_code, out
     return json.loads(out)
+
+
+def run_error(argv, capsys):
+    """Runs a command that must fail as a usage error; returns its one stderr line."""
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1, captured.out
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+def simulate_csv(path, n, seed):
+    argv = ["simulate", "--kind", "fluce", "--n", str(n), "--seed", str(seed),
+            "--emit", "data", "--format", "csv", "--out", str(path)]
+    assert run(argv) == 0
+    return str(path)
 
 
 class TestExitCodes:
@@ -93,6 +120,14 @@ class TestExitCodes:
             bom = run_json([command, "--in", str(marked)], capsys, code)
             assert bom["report"] == plain["report"], command
             assert bom["input_digest"] != plain["input_digest"]  # digest of the raw bytes
+
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "r.json"
+        path = str(DATA_DIR / "intro_full.csv")
+        for argv in (["validate", "--in", path], ["hasse", "--in", path, "--dot"]):
+            err = run_error([*argv, "--out", str(target)], capsys)
+            assert err.startswith(f"error: cannot write {target}: "), err
+        assert not target.parent.exists()
 
     def test_rejection_is_exit_two(self, capsys):
         path = str(DATA_DIR / "intro_full.csv")
@@ -213,6 +248,16 @@ class TestPipelines:
         payload = run_json(["test-fluce", "--in", str(data_file)], capsys, 0)
         assert payload["report"]["accepted"] is True
 
+    def test_simulate_mu_data_in_rational_mode(self, tmp_path, capsys):
+        argv = ["simulate", "--kind", "mu", "--n", "4", "--seed", "3", "--emit", "data",
+                "--numeric", "rational"]
+        payload = run_json(argv, capsys, 0)
+        assert payload["numeric_mode"] == payload["report"]["numeric_mode"] == "rational"
+        data_file = tmp_path / "mu.csv"
+        assert run([*argv, "--format", "csv", "--out", str(data_file)]) == 0
+        verdict = run_json(["test-frum", "--in", str(data_file), "--numeric", "rational"], capsys, 0)
+        assert verdict["report"]["accepted"] is True
+
     def test_preset_then_embed_check(self, tmp_path, capsys):
         params_file = tmp_path / "params.json"
         payload = run_json(
@@ -325,6 +370,99 @@ class TestPipelines:
         )
         payload = run_json(["fit-fluce", "--in", str(good)], capsys, 0)
         assert set(payload["report"]) == {"universe", "u", "v"}
+
+
+class TestCommandBranches:
+    def test_hasse_json(self, table3_file, capsys):
+        payload = run_json(["hasse", "--in", table3_file, "--numeric", "rational"], capsys, 0)
+        report = payload["report"]
+        assert set(report) == {"universe", "nodes", "q_edges", "leak_edges"}
+        assert report["universe"] == ["a", "b"]
+        assert report["nodes"] == ["", "a", "b", "a|b"]
+        leaks = {(e["alternative"], e["from"]): e["value"] for e in report["leak_edges"]}
+        assert leaks[("a", "")] == "0.5"
+
+    def test_recover_rejection(self, capsys):
+        path = str(DATA_DIR / "intro_full.csv")
+        for method in ("branch", "constructive"):
+            payload = run_json(
+                ["recover", "--in", path, "--numeric", "rational", "--method", method], capsys, 2
+            )
+            report = payload["report"]
+            assert set(report) == {"error", "verdict"}
+            assert report["error"] == "data has no mixture representation"
+            assert report["verdict"]["accepted"] is False
+
+    def test_fit_fluce_rejection(self, tmp_path, capsys):
+        path = tmp_path / "not_fluce.csv"
+        path.write_text(NOT_FLUCE_CSV)
+        payload = run_json(["fit-fluce", "--in", str(path), "--numeric", "rational"], capsys, 2)
+        assert payload["report"] == {
+            "error": "negative boost for 'a': data violates the monotonicity axiom"
+        }
+
+    def test_preset_requires_labels(self, capsys):
+        err = run_error(["preset", "--kind", "proportional", "--scale", "2"], capsys)
+        assert err == "error: preset requires --labels\n"
+
+    def test_embed_check_rejects_non_json(self, tmp_path, capsys):
+        path = tmp_path / "params.json"
+        path.write_text("frame,alternative,probability\n")
+        err = run_error(["embed-check", "--in", str(path)], capsys)
+        assert err.startswith("error: malformed parameter file: ")
+
+    def test_simulate_mu_data(self, capsys):
+        payload = run_json(
+            ["simulate", "--kind", "mu", "--n", "2", "--seed", "3", "--emit", "data"], capsys, 0
+        )
+        report = payload["report"]
+        assert payload["numeric_mode"] == report["numeric_mode"] == "float64"
+        assert report["frames"] == ["", "a", "b", "a|b"]
+        assert len(report["probs"]) == 8
+
+    def test_simulate_fluce_params(self, capsys):
+        payload = run_json(
+            ["simulate", "--kind", "fluce", "--n", "2", "--seed", "3", "--emit", "params"],
+            capsys,
+            0,
+        )
+        report = payload["report"]
+        assert set(report) == {"universe", "u", "v"}
+        assert abs(sum(report["u"].values()) - 1.0) < 1e-9
+
+    def test_simulate_data_as_json(self, tmp_path, capsys):
+        payload = run_json(
+            ["simulate", "--kind", "fluce", "--n", "2", "--seed", "3", "--emit", "data",
+             "--format", "json"],
+            capsys,
+            0,
+        )
+        csv_path = simulate_csv(tmp_path / "sim.csv", 2, 3)
+        rows = Path(csv_path).read_text().splitlines()[2:]
+        assert payload["command"] == "simulate"
+        assert len(payload["report"]["probs"]) == len(rows) == 8
+
+    def test_plot_projection_needs_three_labels(self, tmp_path, capsys):
+        path = simulate_csv(tmp_path / "fl.csv", 3, 2)
+        err = run_error(["plot", "--in", path, "--project", "a,b"], capsys)
+        assert err == "error: --project needs exactly three labels\n"
+
+    def test_plot_targets(self, tmp_path, capsys):
+        path = simulate_csv(tmp_path / "fl.csv", 3, 2)
+        payload = run_json(["plot", "--in", path, "--targets", "a|b|c,,a|b"], capsys, 0)
+        report = payload["report"]
+        assert [r["label"] for r in report["plot"]["regions"]] == ["a|b|c", "", "a|b"]
+        assert report["containment"] == {"": True, "a|b": True, "a|b|c": True}
+
+    def test_plot_unobserved_region_frame(self, tmp_path, capsys):
+        full = simulate_csv(tmp_path / "fl.csv", 3, 2)
+        lines = Path(full).read_text().splitlines(keepends=True)
+        no_grand = tmp_path / "no_grand.csv"
+        no_grand.write_text("".join(line for line in lines if not line.startswith("a|b|c,")))
+        payload = run_json(["plot", "--in", str(no_grand)], capsys, 0)
+        report = payload["report"]
+        assert [r["label"] for r in report["plot"]["regions"]] == ["a|b|c", ""]
+        assert report["containment"] == {"": True, "a|b|c": None}
 
 
 class TestDeterminism:
