@@ -28,7 +28,7 @@ from .core import (
     validate,
 )
 from .detfum import (
-    IIFAViolationError,
+    FUMRejectionError,
     build_fum_representation,
     check_iifa,
     enumerate_types,
@@ -51,7 +51,7 @@ from .frum import (
     recover_constructive,
     test_frum,
 )
-from .plotdata import plot_simplex, projected_points, region_contains
+from .plotdata import PlotRejectionError, plot_simplex, projected_points, region_contains
 from .polys import compute_bm, export_hasse
 from .sim import SimConfig, default_universe, sample_fluce, sample_mu
 
@@ -169,7 +169,7 @@ def _test_fum(data, args, policy):
 def _repr_fum(data, args, policy):
     try:
         rep = build_fum_representation(data)
-    except IIFAViolationError as exc:
+    except FUMRejectionError as exc:
         return REJECTED, {"error": str(exc), "axioms": exc.report.to_json_dict(data.universe)}
     return OK, rep.to_json_dict()
 
@@ -266,7 +266,10 @@ def _plot(data, args, policy):
     targets = None
     if args.targets is not None:
         targets = [data.universe.frame(part) for part in args.targets.split(",")]
-    plot = plot_simplex(data, targets)
+    try:
+        plot = plot_simplex(data, targets)
+    except PlotRejectionError as exc:
+        return REJECTED, {"error": str(exc)}
     containment: dict[str, bool | None] = {}
     for region in plot.regions:
         frame = data.universe.frame(region.label)

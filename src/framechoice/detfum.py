@@ -2,11 +2,12 @@
 
 A decision maker carries a base value ``u(x)`` for each alternative and a
 nonnegative boost ``v(x)`` that applies only while ``x`` is framed; the choice
-at frame ``F`` maximizes ``u(x) + v(x)*[x in F]``.  This module tests choice
-data against the axioms characterizing that model, constructs a representation
-from consistent data through a revealed-preference relation over framed and
-unframed versions of each alternative, and enumerates the finitely many
-distinct choice functions the model allows.
+at frame ``F`` maximizes ``u(x) + v(x)*[x in F]``.  The model allows finitely
+many distinct choice functions, the choice types, and this module enumerates
+them.  It tests choice data against the axioms characterizing the model (IIFA),
+and builds a representation of consistent data by reading its choice type off
+the frames of size at most three (or, when some are unobserved, by searching
+the types) and realizing that type with integer values.
 """
 
 from __future__ import annotations
@@ -209,12 +210,19 @@ class AxiomReport:
         }
 
 
-class IIFAViolationError(DataError):
-    """Raised when construction is attempted on axiom-violating data."""
+class FUMRejectionError(DataError):
+    """Well-formed choice data that no frame-dependent utility reproduces.
+
+    Carries the axiom report, which passes unless the subclass below is raised.
+    """
 
     def __init__(self, message: str, report: AxiomReport):
         super().__init__(message)
         self.report = report
+
+
+class IIFAViolationError(FUMRejectionError):
+    """Raised when construction is attempted on axiom-violating data."""
 
 
 def check_iifa(data: DeterministicChoiceData) -> AxiomReport:
@@ -231,15 +239,18 @@ def check_iifa(data: DeterministicChoiceData) -> AxiomReport:
             other = data.choices[small]
             if other == chosen:
                 continue
-            name_b, name_s = uni.frame_str(big), uni.frame_str(small)
+            # a framed winner that stays framed breaks IIFA1; an unframed one, IIFA2
+            broken1, broken2 = bool(cbit & small), not cbit & big
+            if not (broken1 or broken2):
+                continue
             desc = (
-                f"c({{{name_b}}})={uni.names[chosen]} but "
-                f"c({{{name_s}}})={uni.names[other]}"
+                f"c({{{uni.frame_str(big)}}})={uni.names[chosen]} but "
+                f"c({{{uni.frame_str(small)}}})={uni.names[other]}"
             )
-            if cbit & small:
+            if broken1:
                 ok1 = False
                 witnesses.append(AxiomWitness("IIFA1", big, small, desc))
-            if not cbit & big:
+            if broken2:
                 ok2 = False
                 witnesses.append(AxiomWitness("IIFA2", big, small, desc))
     return AxiomReport(ok1, ok2, tuple(witnesses))
@@ -250,48 +261,18 @@ def check_iifa(data: DeterministicChoiceData) -> AxiomReport:
 # ---------------------------------------------------------------------------
 
 
-def _revealed_relation(data: DeterministicChoiceData) -> set[tuple[int, int]]:
-    # symbols: x -> base value of x, x + n -> boosted (framed) value of x
-    n = data.universe.n
-    edges: set[tuple[int, int]] = set()
-    for frame, chosen in data.choices.items():
-        winner = chosen + n if frame & (1 << chosen) else chosen
-        for other in range(n):
-            if other == chosen:
-                continue
-            loser = other + n if frame & (1 << other) else other
-            edges.add((winner, loser))
-    for x in range(n):
-        edges.add((x + n, x))
-    return edges
-
-
-def _transitive_closure(edges: set[tuple[int, int]], size: int) -> list[set[int]]:
-    below = [set() for _ in range(size)]
-    for hi, lo in edges:
-        below[hi].add(lo)
-    changed = True
-    while changed:
-        changed = False
-        for hi in range(size):
-            extra = set()
-            for mid in below[hi]:
-                extra |= below[mid] - below[hi]
-            if extra:
-                below[hi] |= extra
-                changed = True
-    return below
-
-
 def build_fum_representation(data: DeterministicChoiceData) -> FUMRepresentation:
-    """Construct a representation reproducing the data, or raise on violation.
+    """Construct a representation reproducing the data, or raise on rejection.
 
-    With every frame of size <= 3 observed, the revealed relation over base
-    and boosted symbols is acyclic exactly when the axioms hold; its closure
-    is completed deterministically (lowest alternative first, boost directly
-    above base when unconstrained) and symbols take integer ranks.  On smaller
-    domains the construction falls back to searching the enumerated types for
-    one consistent with every observation.
+    Data violating the axioms raises :class:`IIFAViolationError`.  With every
+    frame of size <= 3 observed, axiom-consistent data is the choice function
+    of exactly one type, and the small frames spell it out: the default is the
+    choice at the empty frame, the priority members are the alternatives
+    chosen at their own singleton, and each doubleton of members picks the
+    one ranked higher.  That type is realized by :func:`representation_for_type`.
+    On smaller domains the first enumerated type consistent with every
+    observation is realized instead; when none is, :class:`FUMRejectionError`
+    is raised.
     """
     uni = data.universe
     n = uni.n
@@ -300,51 +281,23 @@ def build_fum_representation(data: DeterministicChoiceData) -> FUMRepresentation
         raise IIFAViolationError("choice data violates IIFA", report)
     if n == 1:
         return FUMRepresentation(uni, (1,), (0,))
-
     if not data.contains_frames_up_to(3):
-        return _search_consistent_type(data)
+        return _search_consistent_type(data, report)
 
-    edges = _revealed_relation(data)
-    for hi, lo in edges:
-        if (lo, hi) in edges:
-            raise IIFAViolationError(
-                "revealed relation is not asymmetric (choice data violates IIFA)", report
-            )
-    below = _transitive_closure(edges, 2 * n)
-    for sym in range(2 * n):
-        if sym in below[sym]:
-            raise IIFAViolationError(
-                "revealed relation has a cycle (choice data violates IIFA)", report
-            )
-
-    # deterministic completion: repeatedly emit, top first, the unplaced symbol
-    # with no unplaced symbol above it; ties broken by alternative then boost
-    above = [set() for _ in range(2 * n)]
-    for hi in range(2 * n):
-        for lo in below[hi]:
-            above[lo].add(hi)
-    placed: list[int] = []
-    remaining = set(range(2 * n))
-    while remaining:
-        ready = [s for s in remaining if not (above[s] & remaining)]
-        ready.sort(key=lambda s: (s % n, 0 if s >= n else 1))
-        sym = ready[0]
-        placed.append(sym)
-        remaining.remove(sym)
-
-    rank = {sym: 2 * n - pos for pos, sym in enumerate(placed)}
-    rep = FUMRepresentation(
-        uni,
-        tuple(rank[x] for x in range(n)),
-        tuple(rank[x + n] - rank[x] for x in range(n)),
-    )
-    for frame, chosen in data.choices.items():
+    choices = data.choices
+    prio = [x for x in range(n) if choices[1 << x] == x]
+    wins = {x: sum(choices[(1 << x) | (1 << y)] == x for y in prio if y != x) for x in prio}
+    prio.sort(key=wins.__getitem__, reverse=True)
+    rep = representation_for_type(ChoiceType(prio, prio.index(choices[0]) + 1), uni)
+    for frame, chosen in choices.items():
         if evaluate_fum(rep, frame) != chosen:  # pragma: no cover - guarded by theory
             raise DataError("constructed representation fails to reproduce the data")
     return rep
 
 
-def _search_consistent_type(data: DeterministicChoiceData) -> FUMRepresentation:
+def _search_consistent_type(
+    data: DeterministicChoiceData, report: AxiomReport
+) -> FUMRepresentation:
     uni = data.universe
     if uni.n > MAX_ENUMERATION:
         raise DataError(
@@ -354,7 +307,9 @@ def _search_consistent_type(data: DeterministicChoiceData) -> FUMRepresentation:
     for ctype in enumerate_types(uni):
         if all(ctype.choose(f) == alt for f, alt in data.choices.items()):
             return representation_for_type(ctype, uni)
-    raise DataError("inconsistent with partial data: no choice type matches every observation")
+    raise FUMRejectionError(
+        "inconsistent with partial data: no choice type matches every observation", report
+    )
 
 
 # ---------------------------------------------------------------------------

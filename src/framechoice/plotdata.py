@@ -22,6 +22,10 @@ Bary = tuple[Number, Number, Number]
 _Pt = tuple[Fraction, Fraction]
 
 
+class PlotRejectionError(DataError):
+    """The singleton/doubleton observations admit no mixture of choice types."""
+
+
 @dataclass(frozen=True)
 class SimplexPoint:
     label: str
@@ -100,7 +104,9 @@ class _TypePolytope:
         objective.extend([Fraction(0)] * (len(self.lp.rows[0]) - len(types)))
         result = solve_rational_lp(self.lp.rows, self.lp.rhs, objective)
         if result.status != "optimal":
-            raise DataError("singleton/doubleton observations admit no mixture of choice types")
+            raise PlotRejectionError(
+                "singleton/doubleton observations admit no mixture of choice types"
+            )
         pa = sum((x for p, x in zip(picks, result.x) if p == 0), Fraction(0))
         pb = sum((x for p, x in zip(picks, result.x) if p == 1), Fraction(0))
         return (pa, pb)

@@ -36,8 +36,7 @@ class SimConfig:
     noise: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DataError("universe size must be at least 1")
+        default_universe(self.n)  # the one size check, with its one message
         if not 0 < self.sparsity <= 1:
             raise DataError("sparsity must be in (0, 1]")
         if self.noise < 0:

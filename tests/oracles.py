@@ -1,13 +1,14 @@
 """Reference implementations that the tests compare the program against.
 
 Each is written straight from a definition, reads only ``data.probs``,
-``mu.weights`` or ``table.q``/``table.y``, and returns plain values, so it
-stays independent of how the program lays out its tables.
+``data.choices``, ``mu.weights`` or ``table.q``/``table.y``, and returns plain
+values, so it stays independent of how the program lays out its tables.
 """
 
 from __future__ import annotations
 
 from framechoice.core import members, submasks
+from framechoice.detfum import enumerate_types
 
 
 def naive_bm(data) -> dict[tuple[int, int], object]:
@@ -92,3 +93,14 @@ def flow_residuals(table) -> dict[int, object]:
                     inflow += table.q(alt, frame | (1 << alt))
         out[frame] = total - inflow
     return out
+
+
+def first_consistent_type(data):
+    """The first type, in ``enumerate_types`` order, matching every observed choice.
+
+    ``None`` when no type reproduces the data.
+    """
+    for ctype in enumerate_types(data.universe):
+        if all(ctype.choose(frame) == alt for frame, alt in data.choices.items()):
+            return ctype
+    return None

@@ -91,10 +91,14 @@ class TestExitCodes:
             assert err.startswith("error: eps must be finite") and err.count("\n") == 1, eps
 
     def test_universe_size_out_of_range_is_usage_error(self, capsys):
-        for argv in (["enumerate-types", "--n", "-3"], ["simulate", "--kind", "fluce", "--n", "25"]):
-            assert run(argv) == 1, argv
-            err = capsys.readouterr().err
-            assert err.startswith("error: universe size must be in 1..20, got ") and err.count("\n") == 1
+        # the simulator's size check and the universe builder's are one check
+        for argv in (
+            ["enumerate-types", "--n", "-3"],
+            ["simulate", "--kind", "mu", "--n", "-3"],
+            ["simulate", "--kind", "fluce", "--n", "25"],
+        ):
+            err = run_error(argv, capsys)
+            assert err == f"error: universe size must be in 1..20, got {argv[-1]}\n", argv
 
     def test_zero_denominator_parameter_is_usage_error(self, tmp_path, capsys):
         params = tmp_path / "params.json"
@@ -400,6 +404,29 @@ class TestCommandBranches:
         assert payload["report"] == {
             "error": "negative boost for 'a': data violates the monotonicity axiom"
         }
+
+    def test_plot_rejection(self, capsys):
+        # well-formed data that no type mixture fits is a rejection, not an error
+        path = str(DATA_DIR / "intro_full.csv")
+        code = run(["plot", "--in", path, "--numeric", "rational"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, "")
+        assert json.loads(captured.out)["report"] == {
+            "error": "singleton/doubleton observations admit no mixture of choice types"
+        }
+
+    def test_repr_fum_inconsistent_partial_data(self, tmp_path, capsys):
+        # pairwise incomparable frames keep the axioms silent; no type matches
+        path = tmp_path / "cycle.csv"
+        path.write_text("# universe: a|b|c\nframe,choice\na,b\nb,c\nc,a\n")
+        code = run(["repr-fum", "--in", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, "")
+        report = json.loads(captured.out)["report"]
+        assert report["error"] == (
+            "inconsistent with partial data: no choice type matches every observation"
+        )
+        assert report["axioms"] == {"iifa1": True, "iifa2": True, "iifa": True, "witnesses": []}
 
     def test_preset_requires_labels(self, capsys):
         err = run_error(["preset", "--kind", "proportional", "--scale", "2"], capsys)

@@ -7,6 +7,7 @@ import pytest
 from framechoice.core import DataError, DeterministicChoiceData, Universe
 from framechoice.detfum import (
     ChoiceType,
+    FUMRejectionError,
     FUMRepresentation,
     IIFAViolationError,
     build_fum_representation,
@@ -19,6 +20,7 @@ from framechoice.detfum import (
     type_count,
 )
 from framechoice.sim import default_universe
+from oracles import first_consistent_type
 
 UNI2 = Universe(("a", "b"))
 AB, A, B, EMPTY = 0b11, 0b01, 0b10, 0b00
@@ -234,15 +236,44 @@ class TestExhaustiveCensus:
         assert passing == 33
 
     def test_independent_constructions_are_equivalent(self):
-        # the revealed-relation construction and the direct type realization
-        # build different numbers but must share all identified content
+        # on the full domain and on the frames of size <= 3 alike, the
+        # construction gives exactly the numbers of the brute-force type's
+        # realization
+        for n in (2, 3, 4, 5):
+            uni = default_universe(n)
+            for max_size in (n, 3):
+                frames = [f for f in range(1 << n) if bin(f).count("1") <= max_size]
+                for ctype in enumerate_types(uni):
+                    data = DeterministicChoiceData(uni, {f: ctype.choose(f) for f in frames})
+                    expected = representation_for_type(first_consistent_type(data), uni)
+                    rep = build_fum_representation(data)
+                    assert (rep.u, rep.v) == (expected.u, expected.v), (n, max_size, ctype)
+
+    def test_n3_domains_holding_small_frames_exhaustive(self):
+        # every assignment on the two domains holding every frame of size <= 2
+        # (8,748 datasets): rejected by IIFA exactly when the axioms fail,
+        # otherwise the oracle type's realization or the inconsistency error
         uni = default_universe(3)
-        for ctype in enumerate_types(uni):
-            data = DeterministicChoiceData(uni, {f: ctype.choose(f) for f in range(8)})
-            via_relation = build_fum_representation(data)
-            via_type = representation_for_type(ctype, uni)
-            report = check_rep_equivalence(via_relation, via_type)
-            assert report.clauses_hold and report.same_choice_function
+        outcomes = {"iifa": 0, "built": 0, "inconsistent": 0}
+        for domain in (range(7), range(8)):
+            for assignment in itertools.product(range(3), repeat=len(domain)):
+                data = DeterministicChoiceData(uni, dict(zip(domain, assignment)))
+                try:
+                    rep = build_fum_representation(data)
+                except FUMRejectionError as exc:
+                    iifa_error = isinstance(exc, IIFAViolationError)
+                    assert iifa_error == (not check_iifa(data).iifa), assignment
+                    if not iifa_error:
+                        assert str(exc).startswith("inconsistent with partial data")
+                        assert first_consistent_type(data) is None, assignment
+                    outcomes["iifa" if iifa_error else "inconsistent"] += 1
+                    continue
+                assert check_iifa(data).iifa, assignment
+                expected = representation_for_type(first_consistent_type(data), uni)
+                assert (rep.u, rep.v) == (expected.u, expected.v), assignment
+                outcomes["built"] += 1
+        assert sum(outcomes.values()) == 3**7 + 3**8
+        assert min(outcomes.values()) > 0, outcomes
 
     def test_random_representations_roundtrip(self):
         # sample injective utilities, observe their rule, rebuild, compare
