@@ -401,10 +401,6 @@ class DeterministicChoiceData:
         except KeyError:
             raise DataError(f"no observation for frame {self.universe.frame_str(frame)!r}") from None
 
-    def contains_frames_up_to(self, k: int) -> bool:
-        frames = set(self.domain)
-        return all(f in frames for f in range(1 << self.universe.n) if bin(f).count("1") <= k)
-
     def to_csv(self) -> str:
         out = io.StringIO()
         out.write(f"# universe: {'|'.join(self.universe.names)}\n")
@@ -442,7 +438,8 @@ def _read_columns(text: str, header: list[str]) -> tuple[list[list[str]], Univer
             body = line[1:].strip()
             if body.lower().startswith("universe:"):
                 labels = body.split(":", 1)[1].strip()
-                explicit = Universe(tuple(labels.split("|"))) if labels else None
+                names = tuple(lbl.strip() for lbl in labels.split("|"))
+                explicit = Universe(names) if labels else None
             continue
         lines.append(raw)
     if not lines:

@@ -5,16 +5,16 @@ nonnegative boost ``v(x)`` that applies only while ``x`` is framed; the choice
 at frame ``F`` maximizes ``u(x) + v(x)*[x in F]``.  The model allows finitely
 many distinct choice functions, the choice types, and this module enumerates
 them.  It tests choice data against the axioms characterizing the model (IIFA),
-and builds a representation of consistent data by reading its choice type off
-the frames of size at most three (or, when some are unobserved, by searching
-the types) and realizing that type with integer values.
+and builds a representation of consistent data by constructing the first
+choice type that matches every observation, with no search over the types,
+and realizing that type with integer values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from .core import DataError, DeterministicChoiceData, Number, Universe
+from .core import DataError, DeterministicChoiceData, Number, Universe, members
 
 MAX_ENUMERATION = 8  # type count grows as sum_i i! * C(n,i) * i
 
@@ -264,52 +264,62 @@ def check_iifa(data: DeterministicChoiceData) -> AxiomReport:
 def build_fum_representation(data: DeterministicChoiceData) -> FUMRepresentation:
     """Construct a representation reproducing the data, or raise on rejection.
 
-    Data violating the axioms raises :class:`IIFAViolationError`.  With every
-    frame of size <= 3 observed, axiom-consistent data is the choice function
-    of exactly one type, and the small frames spell it out: the default is the
-    choice at the empty frame, the priority members are the alternatives
-    chosen at their own singleton, and each doubleton of members picks the
-    one ranked higher.  That type is realized by :func:`representation_for_type`.
-    On smaller domains the first enumerated type consistent with every
-    observation is realized instead; when none is, :class:`FUMRejectionError`
-    is raised.
+    Data violating the axioms raises :class:`IIFAViolationError`.  Otherwise
+    :func:`_first_consistent_type` builds the first enumerated type matching
+    every observation (with every frame of size <= 3 observed it is the only
+    one) and :func:`representation_for_type` realizes it; when no type
+    matches, :class:`FUMRejectionError` is raised.
     """
     uni = data.universe
-    n = uni.n
     report = check_iifa(data)
     if not report.iifa:
         raise IIFAViolationError("choice data violates IIFA", report)
-    if n == 1:
+    if uni.n == 1:
         return FUMRepresentation(uni, (1,), (0,))
-    if not data.contains_frames_up_to(3):
-        return _search_consistent_type(data, report)
-
-    choices = data.choices
-    prio = [x for x in range(n) if choices[1 << x] == x]
-    wins = {x: sum(choices[(1 << x) | (1 << y)] == x for y in prio if y != x) for x in prio}
-    prio.sort(key=wins.__getitem__, reverse=True)
-    rep = representation_for_type(ChoiceType(prio, prio.index(choices[0]) + 1), uni)
-    for frame, chosen in choices.items():
+    ctype = _first_consistent_type(data)
+    if ctype is None:
+        raise FUMRejectionError(
+            "inconsistent with partial data: no choice type matches every observation", report
+        )
+    rep = representation_for_type(ctype, uni)
+    for frame, chosen in data.choices.items():
         if evaluate_fum(rep, frame) != chosen:  # pragma: no cover - guarded by theory
             raise DataError("constructed representation fails to reproduce the data")
     return rep
 
 
-def _search_consistent_type(
-    data: DeterministicChoiceData, report: AxiomReport
-) -> FUMRepresentation:
-    uni = data.universe
-    if uni.n > MAX_ENUMERATION:
-        raise DataError(
-            "domain lacks some frame of size <= 3 and the universe is too large "
-            f"for exhaustive search (n <= {MAX_ENUMERATION})"
-        )
-    for ctype in enumerate_types(uni):
-        if all(ctype.choose(f) == alt for f, alt in data.choices.items()):
-            return representation_for_type(ctype, uni)
-    raise FUMRejectionError(
-        "inconsistent with partial data: no choice type matches every observation", report
-    )
+def _first_consistent_type(data: DeterministicChoiceData) -> ChoiceType | None:
+    """The first type, in :func:`enumerate_types` order, matching every observation.
+
+    Every pick is listed; an unframed pick is the default and no member of its
+    frame may be listed; a framed pick ranks above the frame's other listed
+    members.  The shortest such list holds exactly the picks (``{0}`` with no
+    observations), and its first order is the greedy smallest-ready
+    topological order of those rankings.  None when two unframed picks
+    differ, a barred member is picked, or the rankings cycle.
+    """
+    picks = defaults = barred = 0
+    framed: dict[int, int] = {}  # pick -> the other members of its framed frames
+    for frame, chosen in data.choices.items():
+        bit = 1 << chosen
+        picks |= bit
+        if frame & bit:
+            framed[chosen] = framed.get(chosen, 0) | frame ^ bit
+        else:
+            defaults |= bit
+            barred |= frame
+    if defaults & (defaults - 1) or picks & barred:
+        return None
+    left = picks or 1
+    above = {x: sum(1 << c for c, f in framed.items() if f >> x & 1) for x in members(left)}
+    prio: list[int] = []
+    while left:
+        ready = [x for x in members(left) if not above[x] & left]
+        if not ready:
+            return None
+        prio.append(ready[0])
+        left &= ~(1 << ready[0])
+    return ChoiceType(tuple(prio), prio.index(defaults.bit_length() - 1) + 1 if defaults else 1)
 
 
 # ---------------------------------------------------------------------------

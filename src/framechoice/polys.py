@@ -209,20 +209,23 @@ class HasseGraph:
 
         uni = self.universe
 
+        def quote(text: str) -> str:
+            return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
         def node_id(frame: int) -> str:
-            return f'"{{{uni.frame_str(frame)}}}"'
+            return quote(f"{{{uni.frame_str(frame)}}}")
 
         lines = ["digraph hasse {", "  rankdir=TB;"]
         for frame in self.nodes:
             lines.append(f"  {node_id(frame)};")
         for src, dst, alt, val in self.q_edges:
             label = f"q({uni.names[alt]})={number_to_str(val)}"
-            lines.append(f'  {node_id(src)} -> {node_id(dst)} [label="{label}"];')
+            lines.append(f"  {node_id(src)} -> {node_id(dst)} [label={quote(label)}];")
         for idx, (frame, alt, val) in enumerate(self.leak_edges):
             sink = f'"leak{idx}"'
             label = f"y({uni.names[alt]})={number_to_str(val)}"
             lines.append(f"  {sink} [shape=none, label=\"\"];")
-            lines.append(f'  {node_id(frame)} -> {sink} [style=dashed, label="{label}"];')
+            lines.append(f"  {node_id(frame)} -> {sink} [style=dashed, label={quote(label)}];")
         lines.append("}")
         return "\n".join(lines)
 

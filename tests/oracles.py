@@ -7,6 +7,8 @@ values, so it stays independent of how the program lays out its tables.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from framechoice.core import members, submasks
 from framechoice.detfum import enumerate_types
 
@@ -100,7 +102,13 @@ def first_consistent_type(data):
 
     ``None`` when no type reproduces the data.
     """
-    for ctype in enumerate_types(data.universe):
+    for ctype in _types(data.universe):
         if all(ctype.choose(frame) == alt for frame, alt in data.choices.items()):
             return ctype
     return None
+
+
+@lru_cache(maxsize=8)
+def _types(universe) -> tuple:
+    # exhaustive tests ask for the same universe's types many thousand times
+    return tuple(enumerate_types(universe))

@@ -6,6 +6,9 @@ from pathlib import Path
 import pytest
 
 from framechoice.cli import run
+from framechoice.core import DeterministicChoiceData
+from framechoice.detfum import ChoiceType, FUMRepresentation, evaluate_fum
+from framechoice.sim import default_universe
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -226,6 +229,20 @@ class TestGoldenCommands:
         bad.write_text("frame,choice\n,a\na,b\nb,a\na|b,a\n")
         payload = run_json(["repr-fum", "--in", str(bad)], capsys, 2)
         assert payload["report"]["axioms"]["iifa"] is False
+
+    def test_repr_fum_on_a_large_partial_domain(self, tmp_path, capsys):
+        # n = 12, every frame of size <= 3 but {a}: no type enumeration is
+        # needed to decide it, and the representation reproduces every row
+        uni = default_universe(12)
+        ctype = ChoiceType((3, 0, 7, 1, 10), 4)
+        frames = [f for f in range(1 << 12) if bin(f).count("1") <= 3 and f != 0b1]
+        data = DeterministicChoiceData(uni, {f: ctype.choose(f) for f in frames})
+        det = tmp_path / "det12.csv"
+        det.write_text(data.to_csv())
+        report = run_json(["repr-fum", "--in", str(det)], capsys, 0)["report"]
+        u, v = ([report[key][x] for x in uni.names] for key in ("u", "v"))
+        rep = FUMRepresentation(uni, u, v)
+        assert all(evaluate_fum(rep, f) == c for f, c in data.choices.items())
 
 
 class TestPipelines:
@@ -520,9 +537,12 @@ class TestDeterminism:
         import subprocess
         import sys
 
+        # the child runs this checkout's package whether or not PYTHONPATH is set
+        src = str(DATA_DIR.parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         outputs = []
         for seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
             proc = subprocess.run(
                 [
                     sys.executable,

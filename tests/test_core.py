@@ -198,6 +198,17 @@ class TestParseStochastic:
         with pytest.raises(DataError, match=r"^unknown alternative ''$"):
             Universe(("a", "b")).frame("a| |b")
 
+    def test_blanks_around_header_labels_are_stripped(self):
+        body = "frame,alternative,probability\n,a,0.25\n,b,0.75\n"
+        padded = parse_stochastic("# universe: a | b\n" + body)
+        plain = parse_stochastic("# universe: a|b\n" + body)
+        assert padded.universe == plain.universe == Universe(("a", "b"))
+        assert dict(padded.probs) == dict(plain.probs)
+        det = parse_deterministic("#universe:  b |a \nframe,choice\n a ,b\n")
+        assert det.universe == Universe(("b", "a")) and det.choices == {0b10: 0}
+        with pytest.raises(DataError, match=r"^bad alternative label ''$"):
+            parse_stochastic("# universe: a | |b\n" + body)
+
     def test_frame_memos_leave_identity_alone(self):
         used = Universe(("a", "b", "c"))
         assert used.frame("c|a") == 0b101

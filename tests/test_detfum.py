@@ -1,6 +1,7 @@
 """Deterministic model: axioms, representation construction, type enumeration."""
 
 import itertools
+import random
 
 import pytest
 
@@ -52,6 +53,31 @@ def rule(word: str) -> DeterministicChoiceData:
     idx = {"a": 0, "b": 1}
     frames = (AB, A, B, EMPTY)
     return DeterministicChoiceData(UNI2, {f: idx[ch] for f, ch in zip(frames, word)})
+
+
+def _outcome_against_oracle(data):
+    """Build, check the outcome against ``first_consistent_type`` and name it."""
+    oracle = first_consistent_type(data)
+    try:
+        rep = build_fum_representation(data)
+    except FUMRejectionError as exc:
+        assert oracle is None, data.choices
+        if isinstance(exc, IIFAViolationError):
+            assert not check_iifa(data).iifa, data.choices
+            return "iifa"
+        assert check_iifa(data).iifa, data.choices
+        assert str(exc) == (
+            "inconsistent with partial data: no choice type matches every observation"
+        )
+        return "inconsistent"
+    assert oracle is not None, data.choices
+    uni = data.universe
+    if uni.n == 1:
+        expected = FUMRepresentation(uni, (1,), (0,))
+    else:
+        expected = representation_for_type(oracle, uni)
+    assert (rep.u, rep.v) == (expected.u, expected.v), data.choices
+    return "built"
 
 
 class TestEvaluate:
@@ -249,31 +275,57 @@ class TestExhaustiveCensus:
                     rep = build_fum_representation(data)
                     assert (rep.u, rep.v) == (expected.u, expected.v), (n, max_size, ctype)
 
-    def test_n3_domains_holding_small_frames_exhaustive(self):
-        # every assignment on the two domains holding every frame of size <= 2
-        # (8,748 datasets): rejected by IIFA exactly when the axioms fail,
-        # otherwise the oracle type's realization or the inconsistency error
-        uni = default_universe(3)
+    def test_every_dataset_up_to_n3_exhaustive(self):
+        # every assignment on every domain at n = 1, 2 and 3 (65,621
+        # datasets): construction raises exactly when the oracle finds no
+        # type, with IIFAViolationError exactly when the axioms fail, and
+        # otherwise gives exactly the numbers of the oracle type's realization
+        # (at n = 1 the fixed u = 1, v = 0)
         outcomes = {"iifa": 0, "built": 0, "inconsistent": 0}
-        for domain in (range(7), range(8)):
-            for assignment in itertools.product(range(3), repeat=len(domain)):
-                data = DeterministicChoiceData(uni, dict(zip(domain, assignment)))
-                try:
-                    rep = build_fum_representation(data)
-                except FUMRejectionError as exc:
-                    iifa_error = isinstance(exc, IIFAViolationError)
-                    assert iifa_error == (not check_iifa(data).iifa), assignment
-                    if not iifa_error:
-                        assert str(exc).startswith("inconsistent with partial data")
-                        assert first_consistent_type(data) is None, assignment
-                    outcomes["iifa" if iifa_error else "inconsistent"] += 1
-                    continue
-                assert check_iifa(data).iifa, assignment
-                expected = representation_for_type(first_consistent_type(data), uni)
-                assert (rep.u, rep.v) == (expected.u, expected.v), assignment
-                outcomes["built"] += 1
-        assert sum(outcomes.values()) == 3**7 + 3**8
+        for n in (1, 2, 3):
+            uni = default_universe(n)
+            frames = range(1 << n)
+            for size in range(len(frames) + 1):
+                for domain in itertools.combinations(frames, size):
+                    for assignment in itertools.product(range(n), repeat=size):
+                        data = DeterministicChoiceData(uni, dict(zip(domain, assignment)))
+                        outcome = _outcome_against_oracle(data)
+                        outcomes[outcome] += 1
+        assert sum(outcomes.values()) == 2**2 + 3**4 + 4**8
         assert min(outcomes.values()) > 0, outcomes
+
+    def test_random_partial_domains_match_the_oracle(self):
+        # seeded type-induced rules on random domains at n = 4, 5 and 6, some
+        # with corrupted cells, and sparse arbitrary ones
+        rng = random.Random(4242)
+        outcomes = {"iifa": 0, "built": 0, "inconsistent": 0}
+        for n, count in ((4, 150), (5, 100), (6, 40)):
+            uni = default_universe(n)
+            types = enumerate_types(uni)
+            frames = range(1 << n)
+            for i in range(count):
+                if i % 3 == 2:
+                    domain = rng.sample(frames, rng.randint(0, 2 * n))
+                    choices = {f: rng.randrange(n) for f in domain}
+                else:
+                    ctype = rng.choice(types)
+                    domain = rng.sample(frames, rng.randint(0, len(frames)))
+                    choices = {f: ctype.choose(f) for f in domain}
+                    for f in rng.sample(domain, min(len(domain), i % 3)):
+                        choices[f] = rng.randrange(n)
+                outcome = _outcome_against_oracle(DeterministicChoiceData(uni, choices))
+                outcomes[outcome] += 1
+        assert min(outcomes.values()) > 0, outcomes
+
+    def test_ranking_cycle_is_rejected(self):
+        # no frame holds another, so the axioms are silent, but each framed
+        # pick must outrank the next one round the cycle
+        uni = default_universe(3)
+        data = DeterministicChoiceData(uni, {0b011: 0, 0b110: 1, 0b101: 2})
+        assert check_iifa(data).iifa
+        with pytest.raises(FUMRejectionError, match="inconsistent with partial data") as info:
+            build_fum_representation(data)
+        assert not isinstance(info.value, IIFAViolationError)
 
     def test_random_representations_roundtrip(self):
         # sample injective utilities, observe their rule, rebuild, compare

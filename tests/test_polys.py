@@ -1,6 +1,7 @@
 """Polynomial tables: goldens, transform equivalence, flow conservation."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -234,3 +235,18 @@ class TestHasseExport:
         assert dot.startswith("digraph")
         for name in ("{a|b}", "{a}", "{b}", "{}"):
             assert name in dot
+
+    def test_dot_quotes_labels_holding_quotes_and_backslashes(self):
+        # every quoted token must close where DOT reads it closed, and read
+        # back to the text it quotes
+        uni = Universe(('a"x', "b\\", 'c\\"'))
+        dot = export_hasse(compute_bm(random_rho(uni, random.Random(3), RATIONAL))).to_dot()
+        token = re.compile(r'"((?:[^"\\]|\\.)*)"')
+        texts = set()
+        for line in dot.splitlines():
+            rest = token.sub("", line)
+            assert '"' not in rest and "\\" not in rest, line
+            texts.update(re.sub(r"\\(.)", r"\1", t) for t in token.findall(line))
+        for frame in range(8):
+            assert "{" + uni.frame_str(frame) + "}" in texts
+        assert 'q(a"x)' in "".join(texts) and 'y(c\\")' in "".join(texts)
