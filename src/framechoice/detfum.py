@@ -264,23 +264,24 @@ def check_iifa(data: DeterministicChoiceData) -> AxiomReport:
 def build_fum_representation(data: DeterministicChoiceData) -> FUMRepresentation:
     """Construct a representation reproducing the data, or raise on rejection.
 
-    Data violating the axioms raises :class:`IIFAViolationError`.  Otherwise
     :func:`_first_consistent_type` builds the first enumerated type matching
     every observation (with every frame of size <= 3 observed it is the only
-    one) and :func:`representation_for_type` realizes it; when no type
-    matches, :class:`FUMRejectionError` is raised.
+    one) and :func:`representation_for_type` realizes it.  A choice type
+    satisfies both axioms on any domain, so the axioms are checked only when
+    no type matches: data violating them raises :class:`IIFAViolationError`,
+    other data :class:`FUMRejectionError`.
     """
     uni = data.universe
-    report = check_iifa(data)
-    if not report.iifa:
-        raise IIFAViolationError("choice data violates IIFA", report)
-    if uni.n == 1:
-        return FUMRepresentation(uni, (1,), (0,))
     ctype = _first_consistent_type(data)
     if ctype is None:
+        report = check_iifa(data)
+        if not report.iifa:
+            raise IIFAViolationError("choice data violates IIFA", report)
         raise FUMRejectionError(
             "inconsistent with partial data: no choice type matches every observation", report
         )
+    if uni.n == 1:
+        return FUMRepresentation(uni, (1,), (0,))
     rep = representation_for_type(ctype, uni)
     for frame, chosen in data.choices.items():
         if evaluate_fum(rep, frame) != chosen:  # pragma: no cover - guarded by theory

@@ -2,16 +2,20 @@
 
 Equality-constrained problems ``A x = b, x >= 0`` are solved as in
 Applegate, Cook, Dash and Espinoza (2007): a float search picks the basis,
-exact arithmetic only checks it.
+exact arithmetic checks it and, when needed, repairs it.
 
 1. A two-phase revised simplex in float64 (dense basis inverse) under Bland's
    rule finds a final basis of ``[A | I]`` (``I`` holds the phase-1 artificial
-   columns). It makes the exact simplex's pivots, up to float ties.
-2. That basis is certified exactly. Its m×m system is solved by ``Fraction``
-   elimination over the nonzeros, and the point, the duals and every column's
-   reduced cost are checked, so the float tolerances only steer the search.
-3. When a check fails, the exact two-phase ``Fraction`` simplex under Bland's
-   rule decides alone, so every comparison is exact and cycling is impossible.
+   columns).
+2. One exact loop starts from that basis: Bland's rule (1977) over sparse
+   ``Fraction`` solves for ``x_B``, the duals and the entering column, with
+   every reduced cost priced in integers. If the float basis is exactly
+   singular it starts from the artificial basis instead. If its ``x_B`` has
+   negative entries and its phase-1 duals prove no infeasibility, one
+   auxiliary column enters first and makes ``x_B`` feasible.
+3. The loop ends on an exact optimum: the point with its dual proof, or the
+   Farkas ray of phase 1. Exiting with zero pivots certifies the float
+   basis; any pivots it makes are the repair. Bland's rule keeps it finite.
 
 Every verdict, point and Farkas ray returned has been checked exactly. Small
 by design: the systems here have at most a few hundred rows (one per
@@ -20,7 +24,7 @@ observation) and a few thousand columns (one per choice type).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -40,141 +44,7 @@ class LPResult:
     value: Fraction | None
     farkas: tuple[Fraction, ...] | None  # y with y.A <= 0, y.b > 0 when infeasible
     pivots: int = 0  # pivots of the float search
-    exact_pivots: int = 0  # pivots of the exact fallback; 0 when the float basis is certified
-
-
-class _Tableau:
-    def __init__(self, rows: list[list[Fraction]], rhs: list[Fraction]):
-        self.m = len(rows)
-        self.k = len(rows[0]) if rows else 0
-        self.signs = []
-        self.rows = []
-        for i in range(self.m):
-            row = [Fraction(v) for v in rows[i]]
-            b = Fraction(rhs[i])
-            sign = 1
-            if b < 0:
-                row = [-v for v in row]
-                b = -b
-                sign = -1
-            row.extend(_ONE if j == i else _ZERO for j in range(self.m))
-            row.append(b)
-            self.rows.append(row)
-            self.signs.append(sign)
-        self.rhs_col = self.k + self.m
-        self.basis = [self.k + i for i in range(self.m)]
-        self.top: list[Fraction] = []
-        self.pivots = 0
-
-    def set_objective(self, cost: list[Fraction]) -> None:
-        # top row holds z_j - c_j; basic columns are eliminated to zero
-        width = self.rhs_col + 1
-        top = [_ZERO] * width
-        for j, c in enumerate(cost):
-            top[j] = -c
-        for r in range(self.m):
-            coef = top[self.basis[r]]
-            if coef:
-                row = self.rows[r]
-                self.rows_axpy(top, row, coef)
-        self.top = top
-
-    @staticmethod
-    def rows_axpy(target: list[Fraction], source: list[Fraction], factor: Fraction) -> None:
-        for j, v in enumerate(source):
-            if v:
-                target[j] -= factor * v
-
-    def pivot(self, prow: int, pcol: int) -> None:
-        row = self.rows[prow]
-        piv = row[pcol]
-        if piv != 1:
-            inv = _ONE / piv
-            row = [v * inv for v in row]
-            self.rows[prow] = row
-        for r in range(self.m):
-            if r != prow:
-                factor = self.rows[r][pcol]
-                if factor:
-                    self.rows_axpy(self.rows[r], row, factor)
-        factor = self.top[pcol]
-        if factor:
-            self.rows_axpy(self.top, row, factor)
-        self.basis[prow] = pcol
-        self.pivots += 1
-
-    def run(self, allowed: int) -> None:
-        # Bland: smallest eligible entering column, smallest basic leaving var
-        while True:
-            entering = -1
-            for j in range(allowed):
-                if self.top[j] < 0:
-                    entering = j
-                    break
-            if entering < 0:
-                return
-            leaving = -1
-            best = None
-            for r in range(self.m):
-                coef = self.rows[r][entering]
-                if coef > 0:
-                    ratio = self.rows[r][self.rhs_col] / coef
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and self.basis[r] < self.basis[leaving])
-                    ):
-                        best = ratio
-                        leaving = r
-            if leaving < 0:
-                raise ValueError("unbounded objective on a supposedly bounded polytope")
-            self.pivot(leaving, entering)
-
-    def objective_value(self) -> Fraction:
-        # the top row is [z_j - c_j | z] once basic columns are eliminated
-        return self.top[self.rhs_col]
-
-
-def _exact_simplex(
-    rows: list[list[Fraction]],
-    rhs: list[Fraction],
-    objective: list[Fraction] | None,
-) -> LPResult:
-    """The exact two-phase tableau simplex: the fallback, and sole decider when it runs."""
-    tab = _Tableau(rows, rhs)
-    m, k = tab.m, tab.k
-
-    # phase 1: minimize artificial mass (maximize its negative)
-    tab.set_objective([_ZERO] * k + [-_ONE] * m)
-    tab.run(k + m)
-    mass = -tab.objective_value()
-    if mass > 0:
-        # y = c_B B^(-1) read off the artificial columns of the top row
-        farkas = [tab.signs[i] * (_ONE - tab.top[k + i]) for i in range(m)]
-        return LPResult("infeasible", None, None, tuple(farkas), exact_pivots=tab.pivots)
-
-    # pivot zero-valued artificials out; rows that cannot pivot are redundant
-    for r in range(m):
-        if tab.basis[r] >= k:
-            for j in range(k):
-                if tab.rows[r][j]:
-                    tab.pivot(r, j)
-                    break
-    keep = [r for r in range(m) if tab.basis[r] < k]
-    if len(keep) < m:
-        tab.rows = [tab.rows[r] for r in keep]
-        tab.basis = [tab.basis[r] for r in keep]
-        tab.m = m = len(keep)
-
-    if objective is not None:
-        tab.set_objective([Fraction(c) for c in objective] + [_ZERO] * m)
-        tab.run(k)
-
-    x = [_ZERO] * k
-    for r in range(m):
-        if tab.basis[r] < k:
-            x[tab.basis[r]] = tab.rows[r][tab.rhs_col]
-    return LPResult("optimal", tuple(x), _value(objective, x), None, exact_pivots=tab.pivots)
+    exact_pivots: int = 0  # pivots of the exact repair from the float basis; 0 when certified
 
 
 def _value(objective: list[Fraction] | None, x: list[Fraction]) -> Fraction | None:
@@ -204,7 +74,7 @@ def _float_run(
     allowed: int,
     budget: int,
 ) -> tuple[int, bool]:
-    """Bland pivots on ``[a | I]``, maximizing ``cost``, as ``_Tableau.run`` makes them.
+    """Bland pivots on ``[a | I]``, maximizing ``cost``, within the tolerance ``_TOL``.
 
     A revised simplex: ``inv`` is ``B^-1`` and ``x`` is ``x_B``, both updated
     in place, so each pivot prices the columns with one product instead of
@@ -232,12 +102,11 @@ def _float_run(
 
 def _float_basis(
     a: np.ndarray, b: np.ndarray, cost: np.ndarray | None
-) -> tuple[bool | None, list[int], int]:
+) -> tuple[list[int], int]:
     """Two-phase float search on ``[a | I] x = b`` with ``b >= 0``.
 
-    Mirrors the exact tableau's rules, so on well-conditioned input it ends
-    on the same basis. Returns the claimed feasibility (None when the search
-    broke down), the final basis and the pivot count.
+    Returns the final basis and the pivot count. The basis is only a guess:
+    it stops where phase 1 leaves artificial mass or the search breaks down.
     """
     m, k = a.shape
     basis = list(range(k, k + m))
@@ -247,10 +116,8 @@ def _float_basis(
     # phase 1 maximizes minus the artificial mass
     phase1 = np.concatenate((np.zeros(k), -np.ones(m)))
     pivots, done = _float_run(a, basis, inv, x, phase1, k + m, budget)
-    if not done:
-        return None, basis, pivots
-    if sum(v for v, j in zip(x, basis) if j >= k) > _TOL:
-        return False, basis, pivots
+    if not done or sum(v for v, j in zip(x, basis) if j >= k) > _TOL:
+        return basis, pivots
     for r in range(m):
         if basis[r] >= k:
             nonzero = np.flatnonzero(np.abs(inv[r] @ a) > _TOL)
@@ -260,11 +127,9 @@ def _float_basis(
                 pivots += 1
     if cost is not None:
         phase2 = np.concatenate((cost, np.zeros(m)))
-        more, done = _float_run(a, basis, inv, x, phase2, k, budget)
+        more, _ = _float_run(a, basis, inv, x, phase2, k, budget)
         pivots += more
-        if not done:
-            return None, basis, pivots
-    return True, basis, pivots
+    return basis, pivots
 
 
 def _solve(rows: list[dict[int, Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -309,10 +174,13 @@ def _solve(rows: list[dict[int, Fraction]], rhs: list[Fraction]) -> list[Fractio
     return [rhs[owner[c]] for c in range(m)]
 
 
-def _basis_columns(cols: list[_Column], basis: list[int]) -> list[_Column]:
-    """The sparse columns of ``B``: those of ``A``, and unit columns for artificials."""
-    k = len(cols)
-    return [cols[j] if j < k else [(j - k, 1)] for j in basis]
+def _basis_rows(columns: list[_Column], basis: list[int], m: int) -> list[dict[int, Fraction]]:
+    """The rows of ``B``, sparse: row ``i`` maps each basic position to its nonzero."""
+    rows: list[dict[int, Fraction]] = [{} for _ in range(m)]
+    for p, j in enumerate(basis):
+        for i, v in columns[j]:
+            rows[i][p] = v
+    return rows
 
 
 def _priced(cols: list[_Column], y: list[Fraction]) -> tuple[list, int]:
@@ -322,55 +190,64 @@ def _priced(cols: list[_Column], y: list[Fraction]) -> tuple[list, int]:
     return [sum(scaled[i] * v for i, v in column) for column in cols], d
 
 
-def _certified_point(
-    cols: list[_Column],
+def _bland(
+    columns: list[_Column],
+    k: int,
     b: list[Fraction],
     basis: list[int],
-    cost: list[Fraction] | None,
-) -> tuple[Fraction, ...] | None:
-    """The basic solution of ``basis`` in ``[A | I]``, given by the columns ``cols`` of ``A``.
+    x_b: list[Fraction],
+    cost: list[Fraction],
+    phase1: bool,
+) -> tuple[list[Fraction] | None, list[Fraction], int]:
+    """Exact Bland pivots from ``basis``, maximizing ``cost``; only columns of ``A`` enter.
 
-    Returned only if it checks exactly: ``x_B >= 0``, every basic artificial
-    is 0 and, with a ``cost``, the duals ``y`` from ``B^T y = c_B`` price no
-    column of ``A`` above its cost, which proves optimality.
+    ``columns`` holds those of ``A`` (the first ``k``) and the artificials;
+    phase 1 may append the repair column ``w``. Each pass solves
+    ``B x_B = b``, ``B^T y = c_B`` and ``B d = A_j`` exactly and prices every
+    column of ``A`` in integers. Returns ``(y, x_B, pivots)`` where the duals
+    ``y`` prove an optimum or, in phase 1, that ``-y`` is a Farkas ray; ``y``
+    is None once phase 1 has made ``x_B >= 0`` with every auxiliary at 0.
+    An auxiliary basic at zero leaves on any nonzero entry, so it never
+    turns positive.
     """
-    m, k = len(b), len(cols)
-    columns = _basis_columns(cols, basis)
-    rows: list[dict[int, Fraction | int]] = [{} for _ in range(m)]
-    for p, column in enumerate(columns):
-        for i, v in column:
-            rows[i][p] = v
-    x_b = _solve(rows, b)
-    if x_b is None or any(v < 0 or (v and j >= k) for v, j in zip(x_b, basis)):
-        return None
-    if cost is not None:
-        c_b = [cost[j] if j < k else _ZERO for j in basis]
-        y = _solve([dict(column) for column in columns], c_b)
-        if y is None:
-            return None
-        dots, d = _priced(cols, y)
-        if any(dot < c * d for dot, c in zip(dots, cost)):
-            return None
-    x = [_ZERO] * k
-    for j, v in zip(basis, x_b):
-        if j < k:
-            x[j] = v
-    return tuple(x)
-
-
-def _certified_ray(
-    cols: list[_Column], b: list[Fraction], basis: list[int]
-) -> list[Fraction] | None:
-    """The phase-1 duals ``y`` of ``basis``, returned only if ``y·A <= 0`` and ``y·b > 0``."""
-    k = len(cols)
-    columns = _basis_columns(cols, basis)
-    y = _solve([dict(column) for column in columns], [_ONE if j >= k else _ZERO for j in basis])
-    if y is None:
-        return None
-    dots, _ = _priced(cols, y)
-    if any(dot > 0 for dot in dots) or sum(v * w for v, w in zip(y, b)) <= 0:
-        return None
-    return y
+    m = len(b)
+    pivots = 0
+    while True:
+        rows = _basis_rows(columns, basis, m)
+        if pivots:
+            x_b = _solve(rows, b)
+        negative = any(v < 0 for v in x_b)
+        if phase1 and not negative and not any(v for v, j in zip(x_b, basis) if j >= k):
+            return None, x_b, pivots
+        y = _solve([dict(columns[j]) for j in basis], [cost[j] for j in basis])
+        dots, d = _priced(columns[:k], y)
+        entering = next((j for j, dot in enumerate(dots) if dot < cost[j] * d), None)
+        if entering is None and not (phase1 and sum(v * w for v, w in zip(y, b)) >= 0):
+            return y, x_b, pivots
+        pivots += 1
+        if negative:
+            # the repair: w = -(the basis columns of the negative rows) has
+            # B^-1 w = -1 on those rows, so entering at the lowest makes x_B >= 0
+            w: dict[int, Fraction] = {}
+            for v, j in zip(x_b, basis):
+                if v < 0:
+                    for i, a in columns[j]:
+                        w[i] = w.get(i, 0) - a
+            basis[x_b.index(min(x_b))] = len(columns)
+            columns.append([(i, v) for i, v in w.items() if v])
+            continue
+        a_j = [_ZERO] * m
+        for i, v in columns[entering]:
+            a_j[i] = v
+        col = _solve(rows, a_j)
+        ratios = [
+            (x_b[r] / col[r], basis[r], r)
+            for r in range(m)
+            if col[r] > 0 or (col[r] and not x_b[r] and basis[r] >= k)
+        ]
+        if not ratios:
+            raise ValueError("unbounded objective on a supposedly bounded polytope")
+        basis[min(ratios)[2]] = entering
 
 
 def solve_rational_lp(
@@ -389,25 +266,33 @@ def solve_rational_lp(
     k = len(rows[0]) if rows else 0
     signs = [-1 if v < 0 else 1 for v in rhs]
     b = [abs(Fraction(v)) for v in rhs]
-    # rows with a negative right side are negated, as in the exact tableau
+    # rows with a negative right side are negated, so that b >= 0
     dense = np.zeros((m, k))
-    cols: list[_Column] = [[] for _ in range(k)]
+    columns: list[_Column] = [[] for _ in range(k)]
     for i, (row, sign) in enumerate(zip(rows, signs)):
         for j, v in enumerate(row):
             if v:
                 v = sign * (v.numerator if v.denominator == 1 else v)
-                cols[j].append((i, v))
+                columns[j].append((i, v))
                 dense[i, j] = v
     cost = None if objective is None else np.array(objective, dtype=float)
-    feasible, basis, pivots = _float_basis(dense, np.array(b, dtype=float), cost)
-    if feasible:
-        x = _certified_point(cols, b, basis, objective)
-        if x is not None:
-            return LPResult("optimal", x, _value(objective, x), None, pivots)
-    elif feasible is not None:
-        y = _certified_ray(cols, b, basis)
-        if y is not None:
-            # undo the row negations: y·A <= 0 and y·b > 0 on the rows as given
-            farkas = tuple(s * v for s, v in zip(signs, y))
-            return LPResult("infeasible", None, None, farkas, pivots)
-    return replace(_exact_simplex(rows, rhs, objective), pivots=pivots)
+    basis, pivots = _float_basis(dense, np.array(b, dtype=float), cost)
+    columns += [[(i, 1)] for i in range(m)]
+    x_b = _solve(_basis_rows(columns, basis, m), b)
+    if x_b is None:  # exactly singular: start from the artificial basis
+        basis, x_b = list(range(k, k + m)), b
+    # phase 1 maximizes minus the mass of the artificials and of w
+    phase1 = [_ZERO] * k + [-_ONE] * (m + 1)
+    y, x_b, repair = _bland(columns, k, b, basis, x_b, phase1, True)
+    if y is not None:
+        farkas = tuple(-s * v for s, v in zip(signs, y))  # undo the row negations
+        return LPResult("infeasible", None, None, farkas, pivots, repair)
+    if objective is not None:
+        phase2 = [Fraction(c) for c in objective] + [_ZERO] * (len(columns) - k)
+        _, x_b, more = _bland(columns, k, b, basis, x_b, phase2, False)
+        repair += more
+    x = [_ZERO] * k
+    for j, v in zip(basis, x_b):
+        if j < k:
+            x[j] = v
+    return LPResult("optimal", tuple(x), _value(objective, x), None, pivots, repair)

@@ -1,13 +1,16 @@
 """Reference implementations that the tests compare the program against.
 
 Each is written straight from a definition, reads only ``data.probs``,
-``data.choices``, ``mu.weights`` or ``table.q``/``table.y``, and returns plain
-values, so it stays independent of how the program lays out its tables.
+``data.choices``, ``mu.weights``, ``table.q``/``table.y`` or an LP's rows, and
+returns plain values, so it stays independent of how the program lays out its
+tables.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from framechoice.core import members, submasks
 from framechoice.detfum import enumerate_types
@@ -112,3 +115,38 @@ def first_consistent_type(data):
 def _types(universe) -> tuple:
     # exhaustive tests ask for the same universe's types many thousand times
     return tuple(enumerate_types(universe))
+
+
+def lp_vertices(rows, rhs) -> list[tuple[Fraction, ...]]:
+    """Every vertex of ``{x >= 0 : rows · x = rhs}``, by brute force (O(2^k) subsets).
+
+    A vertex is a nonnegative solution whose nonzero columns are linearly
+    independent, so each column subset of full column rank is solved exactly.
+    The set is empty exactly when the system is infeasible, and a bounded
+    objective attains its maximum at one of them.
+    """
+    k = len(rows[0]) if rows else 0
+    vertices = []
+    for size in range(min(len(rows), k) + 1):
+        for subset in combinations(range(k), size):
+            aug = [[Fraction(row[j]) for j in subset] + [Fraction(b)] for row, b in zip(rows, rhs)]
+            top = 0  # Gauss-Jordan: rows above ``top`` hold the pivots found so far
+            for c in range(size):
+                p = next((r for r in range(top, len(aug)) if aug[r][c]), None)
+                if p is None:
+                    break  # dependent columns
+                aug[top], aug[p] = aug[p], aug[top]
+                aug[top] = [v / aug[top][c] for v in aug[top]]
+                for r in range(len(aug)):
+                    if r != top and aug[r][c]:
+                        f = aug[r][c]
+                        aug[r] = [v - f * w for v, w in zip(aug[r], aug[top])]
+                top += 1
+            if top < size or any(row[size] for row in aug[top:]):
+                continue  # dependent columns, or no solution on this support
+            x = [Fraction(0)] * k
+            for j, row in zip(subset, aug):
+                x[j] = row[size]
+            if min(x, default=0) >= 0:
+                vertices.append(tuple(x))
+    return vertices

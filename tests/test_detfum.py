@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from framechoice import detfum
 from framechoice.core import DataError, DeterministicChoiceData, Universe
 from framechoice.detfum import (
     ChoiceType,
@@ -185,6 +186,18 @@ class TestConstruction:
             )
             rep = build_fum_representation(data)
             assert choice_function(rep) == tuple(map(ctype.choose, range(8)))
+
+    def test_type_found_without_axiom_scan(self, monkeypatch):
+        # the pairwise IIFA scan is O(4^n); a matching type already proves both axioms
+        def no_scan(data):
+            raise AssertionError("check_iifa ran although a type matches")
+
+        monkeypatch.setattr(detfum, "check_iifa", no_scan)
+        uni = default_universe(12)
+        ctype = ChoiceType((3, 0, 7, 11, 5), 3)
+        data = DeterministicChoiceData(uni, {f: ctype.choose(f) for f in range(1 << 12)})
+        rep = build_fum_representation(data)
+        assert rep == representation_for_type(ctype, uni)
 
     def test_partial_domain_fallback_consistent(self):
         uni = default_universe(3)

@@ -366,6 +366,24 @@ class TestFeasibility:
         witness = TypeDistribution(uni, weights, RATIONAL)
         assert dict(forward_frum(witness, data.domain).probs) == dict(data.probs)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_float_band_lp_repairs_the_float_basis(self, seed, monkeypatch):
+        # the 89×284 band LP's float basis is exactly right but for a few x_B
+        # entries of about -1e-17; a cold exact restart took 212-241 pivots
+        results = []
+        solve = frum.solve_rational_lp
+
+        def spy(*args):
+            results.append(solve(*args))
+            return results[-1]
+
+        mu = sample_mu(SimConfig(seed=seed, n=4))
+        data = forward_frum(mu, [f for f in range(16) if bin(f).count("1") <= 2])
+        assert not data.policy.exact
+        monkeypatch.setattr(frum, "solve_rational_lp", spy)
+        assert feasible_completion(data).feasible
+        assert len(results) == 1 and results[0].exact_pivots <= 20
+
     def test_single_observation_feasible(self):
         text = "# universe: a|b\nframe,alternative,probability\n,a,0.5\n"
         data = parse_stochastic(text, RATIONAL, allow_partial=True)
