@@ -270,14 +270,12 @@ def _plot(data, args, policy):
         plot = plot_simplex(data, targets)
     except PlotRejectionError as exc:
         return REJECTED, {"error": str(exc)}
-    containment: dict[str, bool | None] = {}
-    for region in plot.regions:
-        frame = data.universe.frame(region.label)
-        if data.is_complete_frame(frame) and frame in data.domain:
-            point = tuple(data.probs[(a, frame)] for a in range(3))
-            containment[region.label] = region_contains(region.vertices, point)
-        else:
-            containment[region.label] = None
+    # every frame is complete here, so a region's frame is observed iff it has a point
+    points = {point.label: point.bary for point in plot.points}
+    containment = {
+        r.label: region_contains(r.vertices, points[r.label]) if r.label in points else None
+        for r in plot.regions
+    }
     return OK, {"plot": plot.to_json_dict(), "containment": containment}
 
 

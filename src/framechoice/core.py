@@ -12,9 +12,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from math import comb
 from typing import Iterable, Iterator, Mapping, Union
+
+import numpy as np
 
 Number = Union[float, Fraction]
 
@@ -261,6 +266,11 @@ class StochasticChoiceData:
     carry an entry; complete frames must sum to one.  Frames observed only for
     some alternatives are permitted (they arise in falsification work on
     partial data) but most analyses require complete frames.
+
+    The constructor also builds one frame matrix for bulk readers, column
+    ``j`` holding frame ``domain[j]``: ``values[a, j]`` (``float64``, or the
+    caller's ``Fraction`` objects; 0 where unobserved) and ``observed[a, j]``.
+    Neither is a field, so equality and repr see only the fields.
     """
 
     universe: Universe
@@ -275,8 +285,6 @@ class StochasticChoiceData:
         exact = self.policy.exact
         native = Fraction if exact else float  # spares most cells the ABCMeta isinstance
         floor = 0 if exact else -self.policy.eps  # is_nonneg(x) is x >= floor
-        counts: dict[int, int] = {}
-        totals: dict[int, Number] = {}  # 0 + p1 + p2 ..., in row order, as sum() adds
         for (alt, frame), p in self.probs.items():
             if not 0 <= alt < n:
                 raise DataError(f"alternative index {alt} out of range")
@@ -289,25 +297,31 @@ class StochasticChoiceData:
                     f"probability {number_to_str(p)} for ({self.universe.names[alt]!r}, "
                     f"{self.universe.frame_str(frame)!r}) outside [0,1]"
                 )
-            counts[frame] = counts.get(frame, 0) + 1
-            totals[frame] = totals.get(frame, 0) + p
-        partial = False
-        for frame, total in totals.items():
-            if counts[frame] == n:
-                if not self.policy.is_close(total, self.policy.one(), scale=n):
-                    raise DataError(
-                        f"frame sum for {self.universe.frame_str(frame)!r} is "
-                        f"{number_to_str(total)}, expected 1"
-                    )
-            else:
-                partial = True
-                if not (total <= 1 or self.policy.is_close(total, self.policy.one(), scale=n)):
-                    raise DataError(
-                        f"observed mass {number_to_str(total)} at partial frame "
-                        f"{self.universe.frame_str(frame)!r} exceeds 1"
-                    )
-        object.__setattr__(self, "domain", tuple(sorted(totals)))
-        object.__setattr__(self, "partial", partial)
+        cells = len(self.probs)
+        dtype = object if exact else np.float64
+        keys = np.fromiter(chain.from_iterable(self.probs), np.int64, 2 * cells).reshape(cells, 2)
+        probs = np.fromiter(self.probs.values(), dtype, cells)
+        domain, column = np.unique(keys[:, 1], return_inverse=True)
+        values = np.zeros((n, len(domain)), dtype)
+        values[keys[:, 0], column] = probs
+        observed = np.zeros(values.shape, bool)
+        observed[keys[:, 0], column] = True
+        totals = np.zeros(len(domain), dtype)  # 0 + p1 + p2 ..., in row order, as sum() adds
+        np.add.at(totals, column, probs)
+        complete = observed.all(axis=0)
+        near_one = self.policy.is_close(totals, self.policy.one(), scale=n)
+        # a complete frame must sum to one, a partial one may fall short of it
+        failing = ~near_one & (complete | (totals > 1))
+        if failing.any():
+            j = column[failing[column].argmax()]  # the failing frame whose first row comes first
+            where, total = self.universe.frame_str(int(domain[j])), number_to_str(totals[j])
+            if complete[j]:
+                raise DataError(f"frame sum for {where!r} is {total}, expected 1")
+            raise DataError(f"observed mass {total} at partial frame {where!r} exceeds 1")
+        object.__setattr__(self, "domain", tuple(domain.tolist()))
+        object.__setattr__(self, "partial", not complete.all())
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "observed", observed)
 
     def rho(self, alt: int, frame: int) -> Number:
         try:
@@ -322,40 +336,40 @@ class StochasticChoiceData:
         return self.probs.get((alt, frame))
 
     def is_complete_frame(self, frame: int) -> bool:
-        return all((a, frame) in self.probs for a in range(self.universe.n))
+        j = bisect_left(self.domain, frame)
+        return j < len(self.domain) and self.domain[j] == frame and bool(self.observed[:, j].all())
 
     @property
     def full_domain(self) -> bool:
         """True when every frame of the power set is completely observed."""
-        if len(self.domain) != 1 << self.universe.n:
-            return False
-        return not self.partial
+        return len(self.domain) == 1 << self.universe.n and not self.partial
 
     def contains_frames_up_to(self, k: int) -> bool:
+        """True when every frame of at most ``k`` members is completely observed."""
         n = self.universe.n
-        frames = set(self.domain)
-        return all(
-            f in frames and self.is_complete_frame(f)
-            for f in range(1 << n)
-            if bin(f).count("1") <= k
-        )
+        complete = np.array(self.domain, np.int64)[self.observed.all(axis=0)]
+        sizes = ((complete[:, None] >> np.arange(n)) & 1).sum(axis=1)
+        return int(np.count_nonzero(sizes <= k)) == sum(comb(n, j) for j in range(k + 1))
 
     def positivity(self) -> bool:
         """Whether every observed probability is strictly positive."""
-        return all(p > 0 for p in self.probs.values())
+        return bool((self.values[self.observed] > 0).all())
+
+    def _cells(self) -> Iterator[tuple[int, int, Number]]:
+        """(frame, alternative, probability) of every observation, by frame then alternative."""
+        columns, alts = np.nonzero(self.observed.T)
+        frames = np.array(self.domain, np.int64)[columns]
+        return zip(frames.tolist(), alts.tolist(), self.values.T[self.observed.T].tolist())
 
     def to_csv(self) -> str:
         out = io.StringIO()
         out.write(f"# universe: {'|'.join(self.universe.names)}\n")
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["frame", "alternative", "probability"])
-        for frame in self.domain:
-            for alt in range(self.universe.n):
-                p = self.probs.get((alt, frame))
-                if p is not None:
-                    writer.writerow(
-                        [self.universe.frame_str(frame), self.universe.names[alt], number_to_str(p)]
-                    )
+        writer.writerows(
+            [self.universe.frame_str(frame), self.universe.names[alt], number_to_str(p)]
+            for frame, alt, p in self._cells()
+        )
         return out.getvalue()
 
     def to_json_dict(self) -> dict:
@@ -369,7 +383,7 @@ class StochasticChoiceData:
                     "alternative": self.universe.names[alt],
                     "p": number_to_json(p),
                 }
-                for (alt, frame), p in sorted(self.probs.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+                for frame, alt, p in self._cells()
             ],
         }
 
@@ -489,10 +503,9 @@ def parse_stochastic(
         probs[key] = parse(p_s)
     data = StochasticChoiceData(universe, probs, policy)
     if data.partial and not allow_partial:
-        bad = [f for f in data.domain if not data.is_complete_frame(f)]
         raise DataError(
             "incomplete frames (missing alternatives are not imputed as 0): "
-            + ", ".join(repr(universe.frame_str(f)) for f in bad)
+            + ", ".join(repr(universe.frame_str(f)) for f in _incomplete_frames(data))
         )
     return data
 
@@ -539,20 +552,19 @@ class ValidationReport:
         }
 
 
+def _incomplete_frames(data: StochasticChoiceData) -> tuple[int, ...]:
+    return tuple(np.array(data.domain, np.int64)[~data.observed.all(axis=0)].tolist())
+
+
 def validate(data: StochasticChoiceData) -> ValidationReport:
     """Report-only health check: sums, domain completeness, positivity."""
-    sums = {
-        frame: sum(
-            data.probs[(a, frame)] for a in range(data.universe.n) if (a, frame) in data.probs
-        )
-        for frame in data.domain
-    }
+    sums = sum(data.values, 0)  # row by row: alternative order from 0 (np.add.reduce may pair)
     return ValidationReport(
-        frame_sums=sums,
+        frame_sums=dict(zip(data.domain, sums.tolist())),
         full_domain=data.full_domain,
         contains_all_frames_up_to={k: data.contains_frames_up_to(k) for k in range(4)},
         positivity=data.positivity(),
-        partial_frames=tuple(f for f in data.domain if not data.is_complete_frame(f)),
+        partial_frames=_incomplete_frames(data),
     )
 
 

@@ -226,7 +226,9 @@ class IIFAViolationError(FUMRejectionError):
 
 
 def check_iifa(data: DeterministicChoiceData) -> AxiomReport:
-    """Test every comparable frame pair in the domain against both axioms."""
+    """Both axioms: a matching choice type passes them, else every frame pair is scanned."""
+    if _first_consistent_type(data) is not None:
+        return AxiomReport(True, True, ())
     uni = data.universe
     witnesses: list[AxiomWitness] = []
     ok1 = ok2 = True

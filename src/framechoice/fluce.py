@@ -238,11 +238,8 @@ def check_axioms(data: StochasticChoiceData) -> FLuceReport:
 def _eligible_anchor_frames(data: StochasticChoiceData, alt: int) -> list[int]:
     full = data.universe.full_frame
     bit = 1 << alt
-    frames = [
-        f
-        for f in data.domain
-        if f & bit and f != full and data.is_complete_frame(f)
-    ]
+    complete = data.observed.all(axis=0).tolist()
+    frames = [f for f, whole in zip(data.domain, complete) if whole and f & bit and f != full]
     # lexicographic order on the member index tuples
     frames.sort(key=lambda f: members(f))
     return frames
@@ -278,7 +275,7 @@ def fit_fluce(data: StochasticChoiceData) -> FLuceParams:
     data violates the monotonicity axiom.
     """
     uni = data.universe
-    if 0 not in data.domain or not data.is_complete_frame(0):
+    if not data.is_complete_frame(0):
         raise DataError("fitting requires the empty frame")
     if not data.positivity():
         raise DataError("fitting requires strictly positive choice probabilities")

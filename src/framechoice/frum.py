@@ -148,13 +148,10 @@ def interim_violations(data: StochasticChoiceData) -> tuple[BMViolation, ...]:
     """
     out: list[BMViolation] = []
     policy = data.policy
-    per_alt: dict[int, set[int]] = {}
-    for alt, frame in data.probs:
-        per_alt.setdefault(alt, set()).add(frame)
-    for alt in sorted(per_alt):
+    for alt, seen in enumerate(data.observed.tolist()):
         bit = 1 << alt
-        frames = sorted(per_alt[alt])
-        observed = per_alt[alt]
+        frames = [frame for frame, s in zip(data.domain, seen) if s]
+        observed = set(frames)
         for lo in frames:
             for hi in frames:
                 if lo == hi or lo & ~hi:

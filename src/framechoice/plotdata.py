@@ -174,13 +174,8 @@ def plot_simplex(
         raise DataError("simplex plots require exactly 3 alternatives")
     if data.partial:
         raise DataError("simplex plots require complete frames")
-    points = tuple(
-        SimplexPoint(
-            uni.frame_str(f),
-            (data.probs[(0, f)], data.probs[(1, f)], data.probs[(2, f)]),
-        )
-        for f in data.domain
-    )
+    columns = zip(data.domain, data.values.T.tolist())
+    points = tuple(SimplexPoint(uni.frame_str(f), tuple(bary)) for f, bary in columns)
     if targets is None:
         targets = [uni.full_frame, 0]
     regions: list[SimplexRegion] = []

@@ -113,11 +113,7 @@ def compute_bm(data: StochasticChoiceData) -> BMTable:
     if not data.full_domain:
         raise DataError("polynomial tables require observations for every frame")
     n = data.universe.n
-    size = 1 << n
-    values = np.array(
-        [[data.probs[(alt, f)] for f in range(size)] for alt in range(n)],
-        dtype=object if data.policy.exact else np.float64,
-    )
+    values = data.values.copy()  # on the full domain, column F is frame F
     for alt in range(n):
         _superset_signed_sum(values[alt], n, alt)
     return BMTable(data.universe, data.policy, values)

@@ -101,13 +101,10 @@ def perturb(data: StochasticChoiceData, config: SimConfig) -> StochasticChoiceDa
     policy = data.policy
     one = policy.one()
     probs: dict[tuple[int, int], Number] = {}
-    for frame in data.domain:
-        alts = [a for a in range(uni.n) if (a, frame) in data.probs]
-        shifted = []
-        for alt in alts:
-            bump = policy.convert(Fraction(config.noise * float(rng.normal())))
-            p = data.probs[(alt, frame)] + bump
-            shifted.append(min(one, max(policy.zero(), p)))
+    for frame, column, seen in zip(data.domain, data.values.T.tolist(), data.observed.T.tolist()):
+        alts = [a for a in range(uni.n) if seen[a]]
+        bumps = [policy.convert(Fraction(config.noise * float(rng.normal()))) for _ in alts]
+        shifted = [min(one, max(policy.zero(), column[a] + b)) for a, b in zip(alts, bumps)]
         total = sum(shifted)
         if total == 0:
             shifted = [one] * len(alts)

@@ -150,3 +150,24 @@ def lp_vertices(rows, rhs) -> list[tuple[Fraction, ...]]:
             if min(x, default=0) >= 0:
                 vertices.append(tuple(x))
     return vertices
+
+
+def iifa_witnesses(data) -> list[tuple[str, int, int]]:
+    """(axiom, frame, subframe) of every IIFA break, by frame, then subframe.
+
+    For observed frames ``G`` strictly inside ``F`` with ``c(G) != c(F)``:
+    IIFA1 breaks when ``c(F)`` is a member of ``G`` (a framed winner stays
+    framed yet loses), IIFA2 when ``c(F)`` is not a member of ``F`` (an
+    unframed winner loses once the frame shrinks).
+    """
+    out = []
+    for big in sorted(data.choices):
+        for small in sorted(data.choices):
+            chosen = data.choices[big]
+            if small == big or small & ~big or data.choices[small] == chosen:
+                continue
+            if chosen in members(small):
+                out.append(("IIFA1", big, small))
+            if chosen not in members(big):
+                out.append(("IIFA2", big, small))
+    return out

@@ -1,8 +1,12 @@
 """Parsing, validation, numeric policy, and frame encoding."""
 
+import functools
+import operator
 import pickle
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -303,6 +307,80 @@ class TestValidate:
             "partial_frames",
         }
         assert payload["frame_sums"]["a|b|c"] == pytest.approx(1.0)
+
+
+class TestFrameMatrix:
+    def test_layout_of_a_partial_rule(self):
+        uni = Universe(("a", "b", "c"))
+        probs = {(2, 0b011): Fraction(1, 4), (0, 0b001): Fraction(1), (0, 0b011): Fraction(1, 2)}
+        data = StochasticChoiceData(uni, probs, RATIONAL)
+        assert data.domain == (0b001, 0b011)
+        assert data.values.dtype == object
+        assert data.values.tolist() == [[1, Fraction(1, 2)], [0, 0], [0, Fraction(1, 4)]]
+        assert data.values[2, 1] is probs[(2, 0b011)]  # the caller's Fraction
+        assert data.observed.tolist() == [[True, True], [False, False], [False, True]]
+        assert data.partial and not data.full_domain
+        assert not data.is_complete_frame(0b011) and not data.is_complete_frame(0b111)
+
+    def test_matrix_takes_no_part_in_equality(self):
+        uni = Universe(("a", "b"))
+        forward = {(0, 0): 0.25, (1, 0): 0.75, (0, 1): 1.0, (1, 1): 0.0}
+        backward = dict(reversed(forward.items()))
+        one, two = StochasticChoiceData(uni, forward), StochasticChoiceData(uni, backward)
+        assert one == two and "values" not in repr(one)
+        assert one.values.dtype == np.float64
+        assert one.values.tolist() == two.values.tolist() == [[0.25, 1.0], [0.75, 0.0]]
+
+    def test_frame_sums_add_in_alternative_order(self):
+        # one frame of ten cells: numpy's reduce adds a lone column pairwise
+        # (1.0 here), while the report adds one alternative after another
+        uni = default_universe(10)
+        data = StochasticChoiceData(uni, {(a, uni.full_frame): 0.1 for a in range(10)})
+        in_order = functools.reduce(operator.add, [0.1] * 10, 0)
+        assert in_order != 1.0
+        assert validate(data).frame_sums == {uni.full_frame: in_order}
+
+    @pytest.mark.parametrize("policy", [FLOAT64, RATIONAL], ids=["float64", "rational"])
+    def test_first_failing_frame_in_row_order_is_named(self, policy):
+        # {b} sums to 0.9 and {a} to 1.1; whichever frame's first row comes
+        # first is reported, here in both numeric modes
+        rows = [("b", "a", "0.4"), ("a", "a", "0.6"), ("b", "b", "0.5"), ("a", "b", "0.5")]
+        for order, frame, total in ((rows, "b", "0.9"), (rows[::-1], "a", "1.1")):
+            text = "frame,alternative,probability\n" + "".join(",".join(r) + "\n" for r in order)
+            with pytest.raises(DataError) as err:
+                parse_stochastic(text, policy)
+            assert str(err.value).startswith(f"frame sum for {frame!r} is {total}"), str(err.value)
+
+    def test_queries_follow_the_per_frame_definitions(self):
+        # random partial rules with shuffled rows, some zero cells, n = 1..9
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            probs = {}
+            for f in rng.sample(range(1 << n), rng.randint(0, min(1 << n, 40))):
+                raw = [rng.choice((0, rng.random())) for _ in range(n)]
+                raw[0] = raw[0] or 1.0
+                for a in range(n):
+                    if rng.random() < 0.9:
+                        probs[(a, f)] = raw[a] / sum(raw)
+            rows = list(probs.items())
+            rng.shuffle(rows)
+            data = StochasticChoiceData(default_universe(n), dict(rows))
+            report = validate(data)
+            frames = sorted({f for _, f in probs})
+            complete = {f for f in frames if all((a, f) in probs for a in range(n))}
+            for f in range(1 << n):
+                assert data.is_complete_frame(f) == (f in complete)
+            for k in range(-1, n + 2):
+                small = [f for f in range(1 << n) if bin(f).count("1") <= k]
+                assert data.contains_frames_up_to(k) == complete.issuperset(small), (probs, k)
+            assert data.domain == tuple(frames)
+            assert report.partial_frames == tuple(f for f in frames if f not in complete)
+            assert report.positivity == all(p > 0 for p in probs.values())
+            assert report.frame_sums == {
+                f: functools.reduce(operator.add, [probs[a, f] for a in range(n) if (a, f) in probs], 0)
+                for f in frames
+            }
 
 
 def test_dataset_json_fields(intro_full_rational):

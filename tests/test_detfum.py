@@ -8,6 +8,8 @@ import pytest
 from framechoice import detfum
 from framechoice.core import DataError, DeterministicChoiceData, Universe
 from framechoice.detfum import (
+    AxiomReport,
+    AxiomWitness,
     ChoiceType,
     FUMRejectionError,
     FUMRepresentation,
@@ -22,7 +24,7 @@ from framechoice.detfum import (
     type_count,
 )
 from framechoice.sim import default_universe
-from oracles import first_consistent_type
+from oracles import first_consistent_type, iifa_witnesses
 
 UNI2 = Universe(("a", "b"))
 AB, A, B, EMPTY = 0b11, 0b01, 0b10, 0b00
@@ -131,6 +133,64 @@ class TestIIFA:
         pairs2 = {(w.frame, w.subframe) for w in report.witnesses if w.axiom == "IIFA2"}
         assert (AB, A) in pairs1
         assert (A, EMPTY) in pairs2
+
+    def test_rejected_rules_keep_their_witnesses(self):
+        # every witness of the failing Table-1 rows, in report order
+        expected = {
+            "c4": [("IIFA2", B, EMPTY, "c({b})=a but c({})=b")],
+            "c5": [("IIFA1", AB, A, "c({a|b})=a but c({a})=b")],
+            "c6": [("IIFA2", A, EMPTY, "c({a})=b but c({})=a"),
+                   ("IIFA1", AB, A, "c({a|b})=a but c({a})=b")],
+            "c7": [("IIFA2", B, EMPTY, "c({b})=a but c({})=b"),
+                   ("IIFA1", AB, A, "c({a|b})=a but c({a})=b")],
+            "c8": [("IIFA2", A, EMPTY, "c({a})=b but c({})=a"),
+                   ("IIFA1", AB, A, "c({a|b})=a but c({a})=b")],
+        }
+        for name, witnesses in expected.items():
+            report = check_iifa(rule(RULES[name]))
+            assert report.witnesses == tuple(AxiomWitness(*w) for w in witnesses), name
+
+    def test_corrupted_rules_list_every_witness_in_order(self):
+        # type-induced rules with one or two cells changed, on the full domain
+        # at n = 3 and on random domains at n = 4 and 5, against the pair scan
+        # written from the axioms; the clean ones against no witness at all
+        rng = random.Random(13)
+        broken = 0
+        for n, count in ((3, 200), (4, 150), (5, 60)):
+            uni = default_universe(n)
+            types = enumerate_types(uni)
+            frames = range(1 << n)
+            for i in range(count):
+                ctype = rng.choice(types)
+                domain = frames if n == 3 else rng.sample(frames, rng.randint(1, len(frames)))
+                choices = {f: ctype.choose(f) for f in domain}
+                for f in rng.sample(list(domain), min(len(domain), 1 + i % 2)):
+                    choices[f] = rng.randrange(n)
+                data = DeterministicChoiceData(uni, choices)
+                report = check_iifa(data)
+                found = [(w.axiom, w.frame, w.subframe) for w in report.witnesses]
+                assert found == iifa_witnesses(data), (n, choices)
+                assert report.iifa1 == all(w[0] != "IIFA1" for w in found)
+                assert report.iifa2 == all(w[0] != "IIFA2" for w in found)
+                broken += not report.iifa
+        assert broken > 100
+
+    def test_type_induced_rule_passes_without_pair_scan(self):
+        # the pair scan reads choices[F] for every comparable pair, about
+        # 3^12 reads here; a matching type settles both axioms without it
+        class CountedReads(dict):
+            reads = 0
+
+            def __getitem__(self, frame):
+                CountedReads.reads += 1
+                return super().__getitem__(frame)
+
+        uni = default_universe(12)
+        ctype = ChoiceType((3, 1, 7, 0, 5), 4)
+        choices = CountedReads({f: ctype.choose(f) for f in range(1 << 12)})
+        report = check_iifa(DeterministicChoiceData(uni, choices))
+        assert report == AxiomReport(True, True, ())
+        assert CountedReads.reads == 0
 
     def test_constant_rule_passes(self):
         report = check_iifa(rule("aaaa"))

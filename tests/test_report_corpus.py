@@ -1,0 +1,10 @@
+"""Every command's report on the committed corpus stays byte-identical."""
+
+from report_corpus import build_corpus, stored_corpus
+
+
+def test_reports_match_the_committed_corpus():
+    built, stored = build_corpus(), stored_corpus()
+    assert sorted(built) == sorted(stored)
+    changed = [name for name in built if built[name] != stored[name]]
+    assert changed == [], "regenerate with tests/report_corpus.py only for an intended change"
