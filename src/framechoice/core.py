@@ -223,6 +223,14 @@ class Universe:
         return iter(range(1 << self.n))
 
 
+def cell_records(universe: Universe, cells: Iterable, key: str) -> list[dict]:
+    """JSON records ``{alternative, frame, <key>}`` of (alternative, frame, value) cells."""
+    return [
+        {"alternative": universe.names[a], "frame": universe.frame_str(f), key: number_to_json(v)}
+        for a, f, v in cells
+    ]
+
+
 def members(mask: int) -> tuple[int, ...]:
     """Indices contained in a frame mask, ascending."""
     out = []
@@ -267,10 +275,12 @@ class StochasticChoiceData:
     some alternatives are permitted (they arise in falsification work on
     partial data) but most analyses require complete frames.
 
-    The constructor also builds one frame matrix for bulk readers, column
-    ``j`` holding frame ``domain[j]``: ``values[a, j]`` (``float64``, or the
-    caller's ``Fraction`` objects; 0 where unobserved) and ``observed[a, j]``.
-    Neither is a field, so equality and repr see only the fields.
+    ``probs`` is the constructor's input, kept as given.  The constructor
+    builds from it one frame matrix, column ``j`` holding frame ``domain[j]``:
+    ``values[a, j]`` (``float64``, or the caller's ``Fraction`` objects; 0
+    where unobserved) and ``observed[a, j]``.  Every reader, ``rho`` and
+    ``get`` included, indexes the matrix.  Neither is a field, so equality and
+    repr see only the fields.
     """
 
     universe: Universe
@@ -323,21 +333,26 @@ class StochasticChoiceData:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "observed", observed)
 
+    def _column(self, frame: int) -> int | None:
+        j = bisect_left(self.domain, frame)
+        return j if j < len(self.domain) and self.domain[j] == frame else None
+
     def rho(self, alt: int, frame: int) -> Number:
-        try:
-            return self.probs[(alt, frame)]
-        except KeyError:
-            raise DataError(
-                f"no observation for ({self.universe.names[alt]!r}, "
-                f"{self.universe.frame_str(frame)!r})"
-            ) from None
+        p = self.get(alt, frame)
+        if p is None:
+            where = f"({self.universe.names[alt]!r}, {self.universe.frame_str(frame)!r})"
+            raise DataError(f"no observation for {where}")
+        return p
 
     def get(self, alt: int, frame: int) -> Number | None:
-        return self.probs.get((alt, frame))
+        j = self._column(frame)
+        if j is None or not 0 <= alt < self.universe.n or not self.observed[alt, j]:
+            return None
+        return self.values.item(alt, j)
 
     def is_complete_frame(self, frame: int) -> bool:
-        j = bisect_left(self.domain, frame)
-        return j < len(self.domain) and self.domain[j] == frame and bool(self.observed[:, j].all())
+        j = self._column(frame)
+        return j is not None and bool(self.observed[:, j].all())
 
     @property
     def full_domain(self) -> bool:
@@ -356,10 +371,10 @@ class StochasticChoiceData:
         return bool((self.values[self.observed] > 0).all())
 
     def _cells(self) -> Iterator[tuple[int, int, Number]]:
-        """(frame, alternative, probability) of every observation, by frame then alternative."""
+        """(alternative, frame, probability) of every observation, by frame then alternative."""
         columns, alts = np.nonzero(self.observed.T)
         frames = np.array(self.domain, np.int64)[columns]
-        return zip(frames.tolist(), alts.tolist(), self.values.T[self.observed.T].tolist())
+        return zip(alts.tolist(), frames.tolist(), self.values.T[self.observed.T].tolist())
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -368,7 +383,7 @@ class StochasticChoiceData:
         writer.writerow(["frame", "alternative", "probability"])
         writer.writerows(
             [self.universe.frame_str(frame), self.universe.names[alt], number_to_str(p)]
-            for frame, alt, p in self._cells()
+            for alt, frame, p in self._cells()
         )
         return out.getvalue()
 
@@ -377,14 +392,7 @@ class StochasticChoiceData:
             "universe": list(self.universe.names),
             "numeric_mode": self.policy.mode,
             "frames": [self.universe.frame_str(f) for f in self.domain],
-            "probs": [
-                {
-                    "frame": self.universe.frame_str(frame),
-                    "alternative": self.universe.names[alt],
-                    "p": number_to_json(p),
-                }
-                for frame, alt, p in self._cells()
-            ],
+            "probs": cell_records(self.universe, self._cells(), "p"),
         }
 
 

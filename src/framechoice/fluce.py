@@ -72,14 +72,11 @@ class FLuceParams:
             uni = Universe(names)
 
             def grab(table: dict) -> tuple[Number, ...]:
-                vals = []
-                for name in names:
-                    raw = table[name]
-                    vals.append(Fraction(raw) if isinstance(raw, str) else float(raw))
-                return tuple(vals)
+                raw = [table[name] for name in names]
+                return tuple(RATIONAL.parse(r) if isinstance(r, str) else float(r) for r in raw)
 
             return cls(uni, grab(payload["u"]), grab(payload["v"]))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed parameter payload: {exc}") from exc
 
 
@@ -181,8 +178,9 @@ def check_axioms(data: StochasticChoiceData) -> FLuceReport:
     worst_luce: Number = zero
     luce_wit = None
     domain = data.domain
-    for i, f1 in enumerate(domain):
-        for f2 in domain[i + 1 :]:
+    columns = data.values.T.tolist()
+    for i, (f1, c1) in enumerate(zip(domain, columns)):
+        for f2, c2 in zip(domain[i + 1 :], columns[i + 1 :]):
             delta = f1 ^ f2
             both = f1 & f2
             for x in range(n):
@@ -191,8 +189,8 @@ def check_axioms(data: StochasticChoiceData) -> FLuceReport:
                 for y in range(x + 1, n):
                     if delta & (1 << y):
                         continue
-                    lhs = data.probs[(x, f1)] * data.probs[(y, f2)]
-                    rhs = data.probs[(y, f1)] * data.probs[(x, f2)]
+                    lhs = c1[x] * c2[y]
+                    rhs = c1[y] * c2[x]
                     gap = abs(lhs - rhs)
                     if gap > worst_strong:
                         worst_strong = gap
@@ -207,16 +205,16 @@ def check_axioms(data: StochasticChoiceData) -> FLuceReport:
 
     worst_reg: Number = zero
     reg_wit = None
-    frames = set(domain)
-    for frame in domain:
+    column = dict(zip(domain, columns))
+    for frame, here in column.items():
         for y in members(frame):
-            smaller = frame & ~(1 << y)
-            if smaller not in frames:
+            smaller = column.get(frame & ~(1 << y))
+            if smaller is None:
                 continue
             for x in range(n):
                 if frame & (1 << x):
                     continue
-                margin = data.probs[(x, frame)] - data.probs[(x, smaller)]
+                margin = here[x] - smaller[x]
                 if margin > worst_reg:
                     worst_reg = margin
                     reg_wit = (("alt", x), ("frame", frame), ("alt", y))
@@ -334,9 +332,7 @@ def test_fluce(data: StochasticChoiceData) -> FLuceTestResult:
         return FLuceTestResult(False, None, report)
     params = fit_fluce(data)
     predicted = forward_fluce(params, data.domain, data.policy)
-    ok = all(
-        data.policy.is_close(predicted.probs[key], p, scale=8) for key, p in data.probs.items()
-    )
+    ok = bool(data.policy.is_close(predicted.values, data.values, scale=8).all())
     return FLuceTestResult(ok, params if ok else None, report, reproduction_ok=ok)
 
 

@@ -14,7 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .core import (
     DataError,
@@ -22,12 +25,12 @@ from .core import (
     NumericPolicy,
     StochasticChoiceData,
     Universe,
+    cell_records,
     members,
     number_to_json,
-    submasks,
 )
 from .detfum import ChoiceType, enumerate_types
-from .polys import BMTable, compute_bm, interim_q, interim_y
+from .polys import BMTable, compute_bm, signed_interval_sum
 from .rational_lp import solve_rational_lp
 
 MAX_WITNESS_N = 6  # path count beyond this makes automatic recovery unhelpful
@@ -148,23 +151,21 @@ def interim_violations(data: StochasticChoiceData) -> tuple[BMViolation, ...]:
     """
     out: list[BMViolation] = []
     policy = data.policy
-    for alt, seen in enumerate(data.observed.tolist()):
+    zero = policy.zero()
+    for alt, (row, seen) in enumerate(zip(data.values.tolist(), data.observed.tolist())):
         bit = 1 << alt
-        frames = [frame for frame, s in zip(data.domain, seen) if s]
-        observed = set(frames)
-        for lo in frames:
-            for hi in frames:
+        observed = dict(compress(zip(data.domain, row), seen))
+        for lo in observed:
+            for hi in observed:
                 if lo == hi or lo & ~hi:
                     continue
                 is_y = not hi & bit
-                is_q = bool(lo & bit)
-                if not (is_y or is_q):
+                if not (is_y or lo & bit):
                     continue
-                gap = hi & ~lo
-                if any((lo | s) not in observed for s in submasks(gap)):
+                total = signed_interval_sum(observed.get, lo, hi, zero)
+                if total is None:  # some frame of the interval is unobserved
                     continue
-                total = (interim_y if is_y else interim_q)(data, alt, lo, hi)
-                scale = 1 << bin(gap).count("1")
+                scale = 1 << bin(hi & ~lo).count("1")
                 if not policy.is_nonneg(total, scale=scale):
                     kind = "interim_Y" if is_y else "interim_Q"
                     out.append(BMViolation(kind, alt, lo, total, upper_frame=hi))
@@ -375,9 +376,9 @@ def check_prop2(data: StochasticChoiceData, mu: TypeDistribution) -> Prop2Report
     zero = data.policy.zero()
 
     # one pass over the support: each type contributes its weight to the
-    # (chosen alternative, frame) cells whose side conditions it meets
-    leak_mass = [[zero] * size for _ in range(n)]
-    framed_mass = [[zero] * size for _ in range(n)]
+    # (chosen alternative, frame) cells whose side conditions it meets, laid
+    # out like the table (y clause where b is not in F, q clause where it is)
+    mass = [[zero] * size for _ in range(n)]
     for ctype, w in mu.weights.items():
         if not w > 0:
             continue
@@ -398,20 +399,13 @@ def check_prop2(data: StochasticChoiceData, mu: TypeDistribution) -> Prop2Report
             outside = full & ~frame
             if not frame & (1 << b):
                 if not outside & ~own_singleton:
-                    leak_mass[b][frame] += w
-            else:
-                if choices[1 << b] == b and not outside & ~pair_wins[b]:
-                    framed_mass[b][frame] += w
+                    mass[b][frame] += w
+            elif choices[1 << b] == b and not outside & ~pair_wins[b]:
+                mass[b][frame] += w
 
-    worst_leak = zero
-    worst_framed = zero
-    for b in range(n):
-        bit = 1 << b
-        for frame in range(size):
-            if frame & bit:
-                worst_framed = max(worst_framed, abs(table.q(b, frame) - framed_mass[b][frame]))
-            else:
-                worst_leak = max(worst_leak, abs(table.y(b, frame) - leak_mass[b][frame]))
+    gaps = abs(table.values - np.array(mass, table.values.dtype))
+    framed = table.framed
+    worst_leak, worst_framed = (max([zero, *gaps[where].tolist()]) for where in (~framed, framed))
     return Prop2Report(max(worst_leak, worst_framed), worst_leak, worst_framed)
 
 
@@ -430,14 +424,7 @@ class DualCertificate:
     def to_json_dict(self, universe: Universe) -> dict:
         return {
             "kind": "dual",
-            "coefficients": [
-                {
-                    "alternative": universe.names[alt],
-                    "frame": universe.frame_str(frame),
-                    "coefficient": number_to_json(c),
-                }
-                for alt, frame, c in self.coefficients
-            ],
+            "coefficients": cell_records(universe, self.coefficients, "coefficient"),
             "normalization_coefficient": number_to_json(self.normalization_coefficient),
         }
 
@@ -502,7 +489,7 @@ def mixture_lp(
     rhs: list[Fraction] = []
     for i, (alt, frame) in enumerate(cells):
         row = [one if t.choose(frame) == alt else zero for t in kept] + [zero] * slacks
-        target = Fraction(data.probs[(alt, frame)])
+        target = Fraction(data.rho(alt, frame))
         if band == 0:
             rows.append(row)
             rhs.append(target)
@@ -536,7 +523,8 @@ def feasible_completion(data: StochasticChoiceData) -> FeasibilityResult:
     if interims:
         worst = min(interims, key=lambda v: (v.value, v.alternative, v.frame))
         return FeasibilityResult(False, None, worst)
-    observations = sorted(data.probs)  # (alt, frame), deterministic row order
+    alts, columns = data.observed.nonzero()  # (alt, frame) in ascending order
+    observations = [(alt, data.domain[j]) for alt, j in zip(alts.tolist(), columns.tolist())]
     lp = mixture_lp(data, enumerate_types(uni), observations, data.domain)
 
     result = solve_rational_lp(lp.rows, lp.rhs)

@@ -204,10 +204,11 @@ def projected_points(
 
     Frames where the three chosen alternatives carry zero mass are skipped.
     """
+    rows = list(alts)  # a list picks rows; a tuple would index two axes
     points = []
-    for frame in data.domain:
-        triple = [data.get(a, frame) for a in alts]
-        if any(t is None for t in triple):
+    columns = zip(data.domain, data.values[rows].T.tolist(), data.observed[rows].all(axis=0))
+    for frame, triple, seen in columns:
+        if not seen:
             continue
         total = sum(triple)
         if not total > 0:

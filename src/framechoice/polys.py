@@ -15,7 +15,7 @@ interval so partial data can still falsify.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .core import (
     NumericPolicy,
     StochasticChoiceData,
     Universe,
+    cell_records,
     number_to_json,
     submasks,
 )
@@ -78,14 +79,8 @@ class BMTable:
         return {
             "universe": list(uni.names),
             "numeric_mode": self.policy.mode,
-            "q": [
-                {"alternative": uni.names[a], "frame": uni.frame_str(f), "value": number_to_json(v)}
-                for a, f, v in self.q_items()
-            ],
-            "y": [
-                {"alternative": uni.names[a], "frame": uni.frame_str(f), "value": number_to_json(v)}
-                for a, f, v in self.y_items()
-            ],
+            "q": cell_records(uni, self.q_items(), "value"),
+            "y": cell_records(uni, self.y_items(), "value"),
         }
 
 
@@ -124,19 +119,25 @@ def compute_bm(data: StochasticChoiceData) -> BMTable:
 # ---------------------------------------------------------------------------
 
 
+def signed_interval_sum(get: Callable, lo: int, hi: int, zero: Number) -> Number | None:
+    """Signed sum of get(F) over lo <= F <= hi, in submask order; None if a frame is missing."""
+    total = zero
+    for extra in submasks(hi & ~lo):
+        p = get(lo | extra)
+        if p is None:
+            return None
+        total = total - p if bin(extra).count("1") % 2 else total + p
+    return total
+
+
 def _interval_sum(data: StochasticChoiceData, alt: int, lo: int, hi: int) -> Number:
     if lo & ~hi:
         raise DataError("interval requires lo to be a subset of hi")
-    total = data.policy.zero()
-    for extra in submasks(hi & ~lo):
-        frame = lo | extra
-        p = data.get(alt, frame)
-        if p is None:
-            raise DataError(
-                f"interval frame {data.universe.frame_str(frame)!r} not observed for "
-                f"{data.universe.names[alt]!r}"
-            )
-        total = total - p if bin(extra).count("1") % 2 else total + p
+    total = signed_interval_sum(lambda frame: data.get(alt, frame), lo, hi, data.policy.zero())
+    if total is None:
+        uni = data.universe
+        where = f"from {uni.frame_str(lo)!r} to {uni.frame_str(hi)!r}"
+        raise DataError(f"interval {where} not observed for {uni.names[alt]!r}")
     return total
 
 

@@ -6,9 +6,12 @@ keep behaviour can be checked against it.  Inputs are the fixtures in
 frames of size <= 2, shuffled, or with one row dropped) and a few hand-written
 deterministic and malformed files.  Each stochastic input is run through every
 stochastic command in both numeric modes, each deterministic one through
-``test-fum`` and ``repr-fum``.  One file per input records, per run, the exit
-code, stderr and stdout, with the report's ``timings`` removed (wall-clock
-time is outside the determinism guarantee).
+``test-fum`` and ``repr-fum``, and each parameter file (``preset`` reports and
+malformed payloads) through ``embed-check``.  The commands that read only flags
+(``enumerate-types``, ``preset``, ``simulate``) get one file per command.  One
+file per input or command records, per run, the exit code, stderr and stdout,
+with the report's ``timings`` removed (wall-clock time is outside the
+determinism guarantee).
 
 Regenerate after an intended behaviour change with::
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import random
 import re
 import tempfile
@@ -44,6 +48,7 @@ STOCHASTIC = [
     ["plot", "--project", "a,b,c"],
 ]
 DETERMINISTIC = [["test-fum"], ["repr-fum"]]
+PARAMETERS = [["embed-check"]]
 MODES = ["float", "rational"]
 
 DET_FILES = {
@@ -69,6 +74,36 @@ BAD_FILES = {
 }
 
 
+PRESETS = {
+    "constant_boost": ["--u", "1,2,3", "--boost", "0.5"],
+    "constant_base": ["--base", "2", "--v", "0,1/2,1"],
+    "proportional": ["--u", "0.2,0.3,0.5", "--scale", "1.5"],
+}
+
+# commands that read only flags: report file stem -> runs
+FLAG_RUNS = {
+    "cmd_enumerate_types": [["enumerate-types", "--n", str(n)] for n in range(4)],
+    "cmd_preset": [
+        ["preset", "--kind", kind, "--labels", "a,b,c", *flags] for kind, flags in PRESETS.items()
+    ] + [["preset", "--kind", "constant_boost", "--labels", "a,b,c", "--u", "1,2,3"]],
+    "cmd_simulate": [
+        ["simulate", "--kind", kind, "--n", "3", "--seed", "1", "--emit", emit, *flags]
+        for kind in ("mu", "fluce")
+        for emit, flags in (("params", []), ("data", ["--format", "csv"]))
+    ],
+}
+
+_PAYLOAD = (
+    '{"universe": ["a", "b", "c"], "u": {"a": %s, "b": "1", "c": "1"}, '
+    '"v": {"a": "0", "b": "0", "c": "0"}}\n'
+)
+BAD_PARAMETERS = {
+    "params_bad_zero.json": _PAYLOAD % '"1/0"',
+    "params_bad_digits.json": _PAYLOAD % ("1" + "0" * 400),  # too large for a float
+    "params_bad_exponent.json": _PAYLOAD % '"1e-99999999"',  # past the exponent guard
+}
+
+
 def _cli(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -83,6 +118,13 @@ def _simulated(kind: str, n: int, seed: int, mode: str = "float") -> str:
     )
     assert code == 0, err
     return out
+
+
+def _preset(kind: str, mode: str) -> str:
+    argv = ["preset", "--kind", kind, "--labels", "a,b,c", *PRESETS[kind], "--numeric", mode]
+    code, out, err = _cli(argv)
+    assert code == 0, err
+    return json.dumps(json.loads(out)["report"], sort_keys=True) + "\n"
 
 
 def _rows(text: str) -> tuple[list[str], list[str]]:
@@ -116,15 +158,19 @@ def corpus_inputs() -> dict[str, str]:
     inputs["mu_exact_shuffled_n3_s0.csv"] = _shuffled(_simulated("mu", 3, 0, "rational"), 0)
     inputs.update(BAD_FILES)
     inputs.update(DET_FILES)
+    inputs["params_constant_boost_float.json"] = _preset("constant_boost", "float")
+    inputs["params_constant_base_rational.json"] = _preset("constant_base", "rational")
+    inputs.update(BAD_PARAMETERS)
     return inputs
 
 
-def _report(path: Path, commands: list[list[str]]) -> str:
+def _report(commands: list[list[str]], path: Path | None = None) -> str:
+    shown, given = (["--in", path.name], ["--in", str(path)]) if path else ([], [])
     parts = []
     for command in commands:
         for mode in MODES:
-            argv = [*command, "--in", path.name, "--numeric", mode]
-            code, out, err = _cli([*command, "--in", str(path), "--numeric", mode])
+            argv = [*command, *shown, "--numeric", mode]
+            code, out, err = _cli([*command, *given, "--numeric", mode])
             if out.startswith("{"):
                 out, found = re.subn(r',"timings":\{[^{}]*\}\}\n\Z', "}\n", out)
                 assert found == 1, argv
@@ -142,8 +188,13 @@ def build_corpus() -> dict[str, str]:
         for name, text in inputs.items():
             path = Path(tmp) / name
             path.write_text(text)
-            commands = DETERMINISTIC if name.startswith("det_") else STOCHASTIC
-            corpus[f"{path.stem}.txt"] = _report(path, commands)
+            if name.endswith(".json"):
+                commands = PARAMETERS
+            else:
+                commands = DETERMINISTIC if name.startswith("det_") else STOCHASTIC
+            corpus[f"{path.stem}.txt"] = _report(commands, path)
+    for stem, runs in FLAG_RUNS.items():
+        corpus[f"{stem}.txt"] = _report(runs)
     return corpus
 
 

@@ -24,6 +24,7 @@ from framechoice.core import (
     validate,
 )
 from framechoice.fluce import forward_fluce
+from framechoice.polys import compute_bm, interim_y
 from framechoice.sim import SimConfig, default_universe, sample_fluce
 
 
@@ -381,6 +382,42 @@ class TestFrameMatrix:
                 f: functools.reduce(operator.add, [probs[a, f] for a in range(n) if (a, f) in probs], 0)
                 for f in frames
             }
+
+    def test_later_changes_to_the_input_dict_change_no_answer(self):
+        uni = Universe(("a", "b"))
+        probs = {
+            (0, 0b00): 0.5, (1, 0b00): 0.5, (0, 0b01): 0.7, (1, 0b01): 0.3,
+            (0, 0b10): 0.4, (1, 0b10): 0.6, (0, 0b11): 0.5, (1, 0b11): 0.5,
+        }
+        data = StochasticChoiceData(uni, probs)
+        bm, report = compute_bm(data).values.tolist(), validate(data)
+        probs[(0, 0b00)], probs[(1, 0b00)] = 0.9, 0.1
+        assert data.rho(0, 0b00) == data.get(0, 0b00) == 0.5
+        assert interim_y(data, 0, 0b00, 0b10) == 0.5 - 0.4
+        assert compute_bm(data).values.tolist() == bm
+        assert validate(data) == report
+
+    def test_get_and_rho_answer_every_cell_as_given(self):
+        rng = random.Random(6)
+        for policy in (FLOAT64, RATIONAL):
+            for _ in range(50):
+                n = rng.randint(1, 4)
+                probs = {}
+                for f in rng.sample(range(1 << n), rng.randint(0, 1 << n)):
+                    alts = rng.sample(range(n), rng.randint(0, n))
+                    for a in alts:  # a complete frame sums to one, a partial one to at most one
+                        share = Fraction(10 if len(alts) == n else rng.randint(0, 10), 10 * n)
+                        probs[(a, f)] = policy.convert(share)
+                data = StochasticChoiceData(default_universe(n), probs, policy)
+                for a in range(-1, n + 1):
+                    for f in range(-1, (1 << n) + 1):
+                        assert data.get(a, f) == probs.get((a, f))
+                        if (a, f) in probs:
+                            assert data.rho(a, f) == probs[(a, f)]
+                            assert type(data.rho(a, f)) is type(probs[(a, f)])
+                        elif 0 <= a < n and 0 <= f < 1 << n:
+                            with pytest.raises(DataError, match="no observation"):
+                                data.rho(a, f)
 
 
 def test_dataset_json_fields(intro_full_rational):
