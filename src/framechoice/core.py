@@ -13,11 +13,12 @@ import csv
 import io
 import json
 from bisect import bisect_left
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import comb
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -26,6 +27,7 @@ Number = Union[float, Fraction]
 MAX_UNIVERSE = 20  # lattice tables are O(n * 2^n)
 MAX_EXPONENT = 4300  # as Python's int digit limit; 1e-1000000 would build a 3.3M-bit Fraction
 _RESERVED = ("|", ",")
+_MISSING = object()
 
 
 class DataError(ValueError):
@@ -265,6 +267,66 @@ def supersets(mask: int, n: int) -> Iterator[int]:
 # ---------------------------------------------------------------------------
 
 
+class CellView(Mapping):
+    """Read-only mapping ``(alternative, frame) -> probability`` over a frame matrix.
+
+    Column ``j`` of ``values``/``observed`` holds frame ``domain[j]`` (sorted
+    masks).  A lookup bisects ``domain``; iteration, ``keys``, ``values`` and
+    ``items`` walk the observed cells frame by frame, alternatives ascending
+    within a frame, as ``to_csv`` writes them.
+    """
+
+    __slots__ = ("_domain", "_values", "_observed")
+
+    def __init__(self, domain: tuple[int, ...], values: np.ndarray, observed: np.ndarray):
+        self._domain, self._values, self._observed = domain, values, observed
+
+    def get(self, key: tuple[int, int], default: object = None):
+        alt, frame = key
+        j = bisect_left(self._domain, frame)
+        if j == len(self._domain) or self._domain[j] != frame:
+            return default
+        if not 0 <= alt < len(self._observed) or not self._observed.item(alt, j):
+            return default
+        return self._values.item(alt, j)
+
+    def __getitem__(self, key: tuple[int, int]) -> Number:
+        p = self.get(key, _MISSING)
+        if p is _MISSING:
+            raise KeyError(key)
+        return p
+
+    def __contains__(self, key: object) -> bool:
+        return self.get(key, _MISSING) is not _MISSING
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._observed))
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        columns, alts = np.nonzero(self._observed.T)
+        return zip(alts.tolist(), np.array(self._domain, np.int64)[columns].tolist())
+
+    def values(self) -> ValuesView:
+        return _CellValues(self)
+
+    def items(self) -> ItemsView:
+        return _CellItems(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _CellValues(ValuesView):
+    def __iter__(self) -> Iterator[Number]:
+        view = self._mapping
+        return iter(view._values.T[view._observed.T].tolist())
+
+
+class _CellItems(ItemsView):
+    def __iter__(self) -> Iterator[tuple[tuple[int, int], Number]]:
+        return zip(self._mapping, self._mapping.values())
+
+
 @dataclass(frozen=True)
 class StochasticChoiceData:
     """A stochastic choice rule: probability of each alternative at each frame.
@@ -275,12 +337,14 @@ class StochasticChoiceData:
     some alternatives are permitted (they arise in falsification work on
     partial data) but most analyses require complete frames.
 
-    ``probs`` is the constructor's input, kept as given.  The constructor
-    builds from it one frame matrix, column ``j`` holding frame ``domain[j]``:
-    ``values[a, j]`` (``float64``, or the caller's ``Fraction`` objects; 0
-    where unobserved) and ``observed[a, j]``.  Every reader, ``rho`` and
-    ``get`` included, indexes the matrix.  Neither is a field, so equality and
-    repr see only the fields.
+    The constructor checks the caller's ``probs`` and builds from it one
+    frame matrix, column ``j`` holding frame ``domain[j]``: ``values[a, j]``
+    (``float64``, or the caller's ``Fraction`` objects; 0 where unobserved)
+    and ``observed[a, j]``, both read-only.  It then replaces ``probs`` with
+    a :class:`CellView` of that matrix and keeps no reference to the caller's
+    mapping, so the cells are stored once and changing the input afterwards
+    changes no answer.  ``values`` and ``observed`` are not fields; equality
+    and repr see the cells through ``probs``.
     """
 
     universe: Universe
@@ -330,12 +394,10 @@ class StochasticChoiceData:
             raise DataError(f"observed mass {total} at partial frame {where!r} exceeds 1")
         object.__setattr__(self, "domain", tuple(domain.tolist()))
         object.__setattr__(self, "partial", not complete.all())
+        values.flags.writeable = observed.flags.writeable = False  # the one store of the cells
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "observed", observed)
-
-    def _column(self, frame: int) -> int | None:
-        j = bisect_left(self.domain, frame)
-        return j if j < len(self.domain) and self.domain[j] == frame else None
+        object.__setattr__(self, "probs", CellView(self.domain, values, observed))
 
     def rho(self, alt: int, frame: int) -> Number:
         p = self.get(alt, frame)
@@ -345,14 +407,10 @@ class StochasticChoiceData:
         return p
 
     def get(self, alt: int, frame: int) -> Number | None:
-        j = self._column(frame)
-        if j is None or not 0 <= alt < self.universe.n or not self.observed[alt, j]:
-            return None
-        return self.values.item(alt, j)
+        return self.probs.get((alt, frame))
 
     def is_complete_frame(self, frame: int) -> bool:
-        j = self._column(frame)
-        return j is not None and bool(self.observed[:, j].all())
+        return all((alt, frame) in self.probs for alt in range(self.universe.n))
 
     @property
     def full_domain(self) -> bool:
@@ -370,12 +428,6 @@ class StochasticChoiceData:
         """Whether every observed probability is strictly positive."""
         return bool((self.values[self.observed] > 0).all())
 
-    def _cells(self) -> Iterator[tuple[int, int, Number]]:
-        """(alternative, frame, probability) of every observation, by frame then alternative."""
-        columns, alts = np.nonzero(self.observed.T)
-        frames = np.array(self.domain, np.int64)[columns]
-        return zip(alts.tolist(), frames.tolist(), self.values.T[self.observed.T].tolist())
-
     def to_csv(self) -> str:
         out = io.StringIO()
         out.write(f"# universe: {'|'.join(self.universe.names)}\n")
@@ -383,16 +435,17 @@ class StochasticChoiceData:
         writer.writerow(["frame", "alternative", "probability"])
         writer.writerows(
             [self.universe.frame_str(frame), self.universe.names[alt], number_to_str(p)]
-            for alt, frame, p in self._cells()
+            for (alt, frame), p in self.probs.items()
         )
         return out.getvalue()
 
     def to_json_dict(self) -> dict:
+        cells = ((alt, frame, p) for (alt, frame), p in self.probs.items())
         return {
             "universe": list(self.universe.names),
             "numeric_mode": self.policy.mode,
             "frames": [self.universe.frame_str(f) for f in self.domain],
-            "probs": cell_records(self.universe, self._cells(), "p"),
+            "probs": cell_records(self.universe, cells, "p"),
         }
 
 
@@ -408,6 +461,7 @@ class DeterministicChoiceData:
     domain: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "choices", dict(self.choices))  # not the caller's dict
         n = self.universe.n
         full = self.universe.full_frame
         for frame, alt in self.choices.items():

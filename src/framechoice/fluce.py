@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 from typing import Iterable
 
 from .core import (
@@ -71,9 +72,15 @@ class FLuceParams:
             names = tuple(payload["universe"])
             uni = Universe(names)
 
+            def number(raw: object) -> Number:
+                if isinstance(raw, str):
+                    return RATIONAL.parse(raw)
+                if isinstance(raw, bool) or not isfinite(float(raw)):
+                    raise ValueError(f"bad number {raw!r}")
+                return float(raw)
+
             def grab(table: dict) -> tuple[Number, ...]:
-                raw = [table[name] for name in names]
-                return tuple(RATIONAL.parse(r) if isinstance(r, str) else float(r) for r in raw)
+                return tuple(number(table[name]) for name in names)
 
             return cls(uni, grab(payload["u"]), grab(payload["v"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -94,6 +101,8 @@ def forward_fluce(
     total_u = sum(u)
     probs: dict[tuple[int, int], Number] = {}
     for frame in sorted(set(domain)):
+        if not 0 <= frame <= uni.full_frame:
+            raise DataError(f"frame mask {frame} out of range")
         denom = total_u + sum(v[i] for i in members(frame))
         for alt in range(uni.n):
             num = u[alt] + v[alt] if frame & (1 << alt) else u[alt]

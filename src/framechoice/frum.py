@@ -46,6 +46,7 @@ class TypeDistribution:
     policy: NumericPolicy = NumericPolicy()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "weights", dict(self.weights))  # not the caller's dict
         n = self.universe.n
         total = self.policy.zero()
         for ctype, w in self.weights.items():

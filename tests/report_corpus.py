@@ -32,6 +32,7 @@ from framechoice.cli import run
 
 TESTS = Path(__file__).parent
 CORPUS_DIR = TESTS / "reports"
+MAX_CORPUS_BYTES = 1_000_000
 
 STOCHASTIC = [
     ["validate"],
@@ -154,6 +155,9 @@ def corpus_inputs() -> dict[str, str]:
             inputs[f"mu_small_n{n}_s{seed}.csv"] = _small_frames(mixture)
             inputs[f"mu_shuffled_n{n}_s{seed}.csv"] = _shuffled(mixture, seed)
             inputs[f"mu_dropped_n{n}_s{seed}.csv"] = _shuffled(mixture, seed, drop=True)
+    # n = 5 on frames of size <= 2 only (a full domain makes hundreds of KB of
+    # reports per mode), with exact frame sums so the rational runs parse
+    inputs["mu_small_n5_s0.csv"] = _small_frames(_simulated("mu", 5, 0, "rational"))
     # exact frame sums, so the rational runs get past parsing
     inputs["mu_exact_shuffled_n3_s0.csv"] = _shuffled(_simulated("mu", 3, 0, "rational"), 0)
     inputs.update(BAD_FILES)

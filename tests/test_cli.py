@@ -104,10 +104,11 @@ class TestExitCodes:
             assert err == f"error: universe size must be in 1..20, got {argv[-1]}\n", argv
 
     def test_zero_denominator_parameter_is_usage_error(self, tmp_path, capsys):
-        # a zero denominator, an integer too large for a float, and an exponent
-        # past the guard that would otherwise build a 330M-bit Fraction
+        # a zero denominator, an integer too large for a float, an exponent
+        # past the guard that would otherwise build a 330M-bit Fraction, a
+        # boolean and a JSON number that reads as infinity
         params = tmp_path / "params.json"
-        for base in ('"1/0"', "1" + "0" * 400, '"1e-99999999"'):
+        for base in ('"1/0"', "1" + "0" * 400, '"1e-99999999"', "true", "1e400"):
             params.write_text('{"universe": ["a", "b", "c"], "u": {"a": %s, "b": "1", "c": "1"}, '
                               '"v": {"a": "0", "b": "0", "c": "0"}}' % base)
             assert run(["embed-check", "--in", str(params), "--numeric", "rational"]) == 1

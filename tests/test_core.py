@@ -4,6 +4,7 @@ import functools
 import operator
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -397,6 +398,37 @@ class TestFrameMatrix:
         assert compute_bm(data).values.tolist() == bm
         assert validate(data) == report
 
+    def test_construction_keeps_no_reference_to_the_input(self):
+        for policy in (FLOAT64, RATIONAL):
+            probs = {(0, 0): policy.convert(0.25), (1, 0): policy.convert(0.75)}
+            before = sys.getrefcount(probs)
+            data = StochasticChoiceData(Universe(("a", "b")), probs, policy)
+            assert sys.getrefcount(probs) == before
+            assert dict(data.probs) == probs
+
+    def test_probs_is_a_read_only_view_of_the_matrix(self):
+        uni = Universe(("a", "b"))
+        probs = {(1, 0b11): 0.6, (0, 0b01): 1.0, (0, 0b11): 0.4, (1, 0b10): 0.2}
+        data = StochasticChoiceData(uni, probs)
+        twin = StochasticChoiceData(uni, dict(reversed(probs.items())))
+        assert dict(data.probs) == probs and data.probs == probs
+        with pytest.raises(TypeError):
+            data.probs[(0, 0b01)] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            data.values[0, 0] = 0.5
+        probs[(0, 0b01)] = 0.5
+        del probs[(1, 0b10)]
+        assert data.probs[(0, 0b01)] == 1.0 and (1, 0b10) in data.probs
+        assert data == twin and repr(data) == repr(twin)
+        # frame then alternative, the order to_csv writes
+        assert list(data.probs) == [(0, 0b01), (1, 0b10), (0, 0b11), (1, 0b11)]
+        assert list(data.probs.values()) == [1.0, 0.2, 0.4, 0.6]
+        assert len(data.probs) == len(data.probs.items()) == 4
+        assert data.probs.keys() & {(1, 0b10), (1, 0b01)} == {(1, 0b10)}
+        assert ((1, 0b11), 0.6) in data.probs.items() and 0.2 in data.probs.values()
+        with pytest.raises(KeyError):
+            data.probs[(1, 0b01)]
+
     def test_get_and_rho_answer_every_cell_as_given(self):
         rng = random.Random(6)
         for policy in (FLOAT64, RATIONAL):
@@ -409,9 +441,12 @@ class TestFrameMatrix:
                         share = Fraction(10 if len(alts) == n else rng.randint(0, 10), 10 * n)
                         probs[(a, f)] = policy.convert(share)
                 data = StochasticChoiceData(default_universe(n), probs, policy)
+                assert data.probs == probs
+                assert list(data.probs) == sorted(probs, key=lambda cell: cell[::-1])
                 for a in range(-1, n + 1):
                     for f in range(-1, (1 << n) + 1):
                         assert data.get(a, f) == probs.get((a, f))
+                        assert ((a, f) in data.probs) == ((a, f) in probs)
                         if (a, f) in probs:
                             assert data.rho(a, f) == probs[(a, f)]
                             assert type(data.rho(a, f)) is type(probs[(a, f)])

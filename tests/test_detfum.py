@@ -187,10 +187,25 @@ class TestIIFA:
 
         uni = default_universe(12)
         ctype = ChoiceType((3, 1, 7, 0, 5), 4)
-        choices = CountedReads({f: ctype.choose(f) for f in range(1 << 12)})
-        report = check_iifa(DeterministicChoiceData(uni, choices))
+        data = DeterministicChoiceData(uni, {f: ctype.choose(f) for f in range(1 << 12)})
+        # the constructor keeps its own copy: count the reads of that one
+        object.__setattr__(data, "choices", CountedReads(data.choices))
+        report = check_iifa(data)
         assert report == AxiomReport(True, True, ())
         assert CountedReads.reads == 0
+
+    def test_later_changes_to_the_input_dict_change_no_answer(self):
+        # the rule of det_broken_n3 in the report corpus: {a} picks c
+        uni = Universe(("a", "b", "c"))
+        choices = {0: 2, 0b001: 2, 0b010: 1, 0b100: 2, 0b011: 1, 0b101: 0, 0b110: 1, 0b111: 1}
+        data = DeterministicChoiceData(uni, choices)
+        report = check_iifa(data)
+        del choices[0b111]
+        choices[0b001] = 0
+        assert data.choices[0b111] == 1 and data.choices[0b001] == 2
+        assert check_iifa(data) == report and not report.iifa
+        with pytest.raises(IIFAViolationError):
+            build_fum_representation(data)
 
     def test_constant_rule_passes(self):
         report = check_iifa(rule("aaaa"))

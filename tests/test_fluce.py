@@ -49,6 +49,12 @@ class TestForward:
         for alt in range(3):
             assert data.probs[(alt, 0)] == data.probs[(alt, 0b111)]
 
+    def test_frame_outside_the_universe_is_a_data_error(self):
+        params = FLuceParams(XYZ, (F(3), F(2), F(1)), (F(1), F(1), F(1)))
+        for domain in ([0b1000], [0, 0b111, 0b1000]):
+            with pytest.raises(DataError, match="frame mask 8 out of range"):
+                forward_fluce(params, domain)
+
     def test_param_validation(self):
         with pytest.raises(DataError, match="positive"):
             FLuceParams(XYZ, (F(0), F(1), F(1)), (F(0), F(0), F(0)))

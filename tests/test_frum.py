@@ -252,6 +252,13 @@ class TestDistribution:
         with pytest.raises(DataError, match="outside the universe"):
             TypeDistribution(TABLE3_UNIVERSE, {ChoiceType((5,), 1): Fraction(1)}, RATIONAL)
 
+    def test_later_changes_to_the_input_dict_change_no_answer(self):
+        weights = {C1: Fraction(1, 2), C2: Fraction(1, 2)}
+        mu = TypeDistribution(TABLE3_UNIVERSE, weights, RATIONAL)
+        weights[C3] = Fraction(7, 10)
+        assert sum(mu.weights.values()) == 1 and mu.weight(C3) == 0
+        assert mu.support() == [C1, C2]
+
     def test_json_shape(self):
         mu = TypeDistribution(TABLE3_UNIVERSE, {C1: Fraction(1)}, RATIONAL)
         payload = mu.to_json_dict()
