@@ -186,8 +186,7 @@ def _enumerate_types(_, args, policy):
 
 def _test_frum(data, args, policy):
     verdict = test_frum(data)
-    rejected = bool(verdict.violations) or (verdict.complete_domain and not verdict.accepted)
-    return (REJECTED if rejected else OK), verdict.to_json_dict(data.universe)
+    return (REJECTED if verdict.violations else OK), verdict.to_json_dict(data.universe)
 
 
 def _recover(data, args, policy):

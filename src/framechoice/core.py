@@ -235,6 +235,8 @@ def cell_records(universe: Universe, cells: Iterable, key: str) -> list[dict]:
 
 def members(mask: int) -> tuple[int, ...]:
     """Indices contained in a frame mask, ascending."""
+    if mask < 0:
+        raise DataError(f"negative frame mask {mask}")
     out = []
     i = 0
     while mask:
@@ -282,11 +284,14 @@ class CellView(Mapping):
         self._domain, self._values, self._observed = domain, values, observed
 
     def get(self, key: tuple[int, int], default: object = None):
-        alt, frame = key
-        j = bisect_left(self._domain, frame)
-        if j == len(self._domain) or self._domain[j] != frame:
-            return default
-        if not 0 <= alt < len(self._observed) or not self._observed.item(alt, j):
+        try:
+            alt, frame = key
+            j = bisect_left(self._domain, frame)
+            if j == len(self._domain) or self._domain[j] != frame:
+                return default
+            if not 0 <= alt < len(self._observed) or not self._observed.item(alt, j):
+                return default
+        except (TypeError, ValueError):  # not an (alternative, frame) pair of ints
             return default
         return self._values.item(alt, j)
 

@@ -34,7 +34,7 @@ from .polys import BMTable, compute_bm, signed_interval_sum
 from .rational_lp import solve_rational_lp
 
 MAX_WITNESS_N = 6  # path count beyond this makes automatic recovery unhelpful
-MAX_FEASIBILITY_N = 6  # enumeration-backed LP column cap (9786 types)
+MAX_FEASIBILITY_N = 6  # LP column cap (9786 types); on the full domain, recovery walks n! paths
 
 
 @dataclass(frozen=True)
@@ -508,22 +508,27 @@ def mixture_lp(
 def feasible_completion(data: StochasticChoiceData) -> FeasibilityResult:
     """Decide whether any mixture over the enumerated types matches the data.
 
-    Works on arbitrary partial observations (missing frames, or frames
-    observed for only some alternatives): exact rational feasibility over
-    one row per observation plus normalization, each float observation
-    within the same ``±BAND_EPS·eps`` band as the plot regions.  On
-    infeasibility the certificate is a violated interval sum when one exists,
-    otherwise the LP's dual (Farkas) combination; a float cell's coefficient
-    sums its two band rows', which certifies the unbanded system exactly.
+    On the full domain this is ``test_frum``'s verdict: the witness is the
+    path-recovered mixture and the certificate the most negative ``q``/``y``
+    value.  Partial observations (missing frames, or frames observed for only
+    some alternatives) go to exact rational feasibility over one row per
+    observation plus normalization, each float observation within the same
+    ``±BAND_EPS·eps`` band as the plot regions.  On infeasibility the
+    certificate is a violated interval sum when one exists, otherwise the
+    LP's dual (Farkas) combination; a float cell's coefficient sums its two
+    band rows', which certifies the unbanded system exactly.
     """
     uni = data.universe
     if uni.n > MAX_FEASIBILITY_N:
         raise DataError(f"feasibility search supported for n <= {MAX_FEASIBILITY_N}")
-    # a negative interval sum already proves infeasibility, without the LP
-    interims = interim_violations(data)
-    if interims:
-        worst = min(interims, key=lambda v: (v.value, v.alternative, v.frame))
+    # the full domain is decided by the sign test; elsewhere a negative
+    # interval sum already proves infeasibility, without the LP
+    verdict = test_frum(data, with_witness=True)
+    if verdict.violations:
+        worst = min(verdict.violations, key=lambda v: (v.value, v.alternative, v.frame))
         return FeasibilityResult(False, None, worst)
+    if verdict.accepted:
+        return FeasibilityResult(True, verdict.witness, None)
     alts, columns = data.observed.nonzero()  # (alt, frame) in ascending order
     observations = [(alt, data.domain[j]) for alt, j in zip(alts.tolist(), columns.tolist())]
     lp = mixture_lp(data, enumerate_types(uni), observations, data.domain)

@@ -62,6 +62,13 @@ class TestUniverse:
         assert uni.frame_str(0b11) == "a|z"
         assert uni.frame("z|a") == 0b11
 
+    def test_negative_mask_is_a_data_error(self):
+        # -1 >> 1 is -1, so a bit walk over a negative mask never ends
+        with pytest.raises(DataError, match="negative frame mask -1"):
+            members(-1)
+        with pytest.raises(DataError, match="negative frame mask -1"):
+            Universe(("a", "b")).frame_str(-1)
+
 
 @given(st.integers(0, 2**20 - 1), st.integers(0, 2**20 - 1))
 def test_symmetric_difference_is_xor(f1, f2):
@@ -428,6 +435,10 @@ class TestFrameMatrix:
         assert ((1, 0b11), 0.6) in data.probs.items() and 0.2 in data.probs.values()
         with pytest.raises(KeyError):
             data.probs[(1, 0b01)]
+        # like a dict, the view answers "absent" for a key that is no cell
+        for key in (5, (0,), ("a", 1), (1, "a"), (0, 1, 2), None):
+            assert key not in data.probs and key not in probs
+            assert data.probs.get(key, "absent") == "absent"
 
     def test_get_and_rho_answer_every_cell_as_given(self):
         rng = random.Random(6)

@@ -26,8 +26,9 @@ from framechoice.frum import (
     recover_constructive,
     test_frum,
 )
+from framechoice.fluce import forward_fluce
 from framechoice.polys import compute_bm
-from framechoice.sim import default_universe, sample_mu, SimConfig
+from framechoice.sim import default_universe, perturb, sample_fluce, sample_mu, SimConfig
 
 from conftest import AB, A, B, EMPTY, TABLE3_UNIVERSE, random_rho, table3_data
 from oracles import branch_weight
@@ -485,13 +486,10 @@ class TestFeasibility:
                 verdicts.add(accepted)
         assert verdicts == {True, False}
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the sign test, the interval scan and the LP band each use their own tolerance",
-    )
     def test_agrees_with_sign_test_just_outside_tolerance(self):
         # y(a, {}) = 0.3 - (0.3 + 1.5e-9) = -1.5e-9 is below -eps, so the sign
-        # test rejects, while the LP's +-8 eps band per cell finds a mixture
+        # test rejects, and so must feasible_completion, although the LP's
+        # +-8 eps band per cell would find a mixture
         probs = {
             (0, AB): 0.5, (1, AB): 0.5,
             (0, A): 0.7, (1, A): 1 - 0.7,
@@ -500,6 +498,39 @@ class TestFeasibility:
         }
         data = StochasticChoiceData(TABLE3_UNIVERSE, probs, FLOAT64)
         assert feasible_completion(data).feasible == test_frum(data).accepted
+
+    @pytest.mark.parametrize("policy", [RATIONAL, FLOAT64], ids=["rational", "float64"])
+    def test_near_boundary_verdict_witness_and_certificate_are_the_sign_test(self, policy):
+        # sparse mixtures and zero boosts put q/y values at exactly zero, and
+        # noise around eps pushes some of them below the sign test's tolerance
+        verdicts = set()
+        for seed in range(36):
+            n = 2 + seed % 3
+            noise = (0.0, 1e-9, 3e-9)[seed // 6 % 3]
+            config = SimConfig(seed=seed, n=n, sparsity=0.3, noise=noise)
+            if seed // 3 % 2:
+                data = forward_fluce(sample_fluce(config), range(1 << n), policy)
+            else:
+                mu = sample_mu(config)
+                if policy.exact:
+                    raw = {t: Fraction(w) for t, w in mu.weights.items()}
+                    total = sum(raw.values())
+                    mu = TypeDistribution(
+                        mu.universe, {t: w / total for t, w in raw.items()}, RATIONAL
+                    )
+                data = forward_frum(mu, range(1 << n))
+            data = perturb(data, config)
+            result, verdict = feasible_completion(data), test_frum(data)
+            assert result.feasible == verdict.accepted, seed
+            if result.feasible:
+                back = forward_frum(result.witness, data.domain)
+                for key, p in data.probs.items():
+                    assert policy.is_close(back.probs[key], p, scale=8), (seed, key)
+            else:
+                worst = min(verdict.violations, key=lambda v: (v.value, v.alternative, v.frame))
+                assert result.certificate == worst, seed
+            verdicts.add(result.feasible)
+        assert verdicts == {True, False}
 
     def test_infeasible_float_mode(self):
         text = "# universe: a|b|c\nframe,alternative,probability\n,a,0.7\nb,a,0.45\nc,a,0.45\nb|c,a,0.1\n"
