@@ -13,7 +13,7 @@ import csv
 import io
 import json
 from bisect import bisect_left
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -27,7 +27,6 @@ Number = Union[float, Fraction]
 MAX_UNIVERSE = 20  # lattice tables are O(n * 2^n)
 MAX_EXPONENT = 4300  # as Python's int digit limit; 1e-1000000 would build a 3.3M-bit Fraction
 _RESERVED = ("|", ",")
-_MISSING = object()
 
 
 class DataError(ValueError):
@@ -54,8 +53,8 @@ class NumericPolicy:
     def __post_init__(self) -> None:
         if self.mode not in ("float64", "rational"):
             raise DataError(f"unknown numeric mode {self.mode!r}")
-        if not 0 <= self.eps < float("inf"):
-            raise DataError(f"eps must be finite and nonnegative, got {self.eps}")
+        if not 0 <= self.eps < 1:  # compared against probabilities and sums of them
+            raise DataError(f"eps must be finite and in [0, 1), got {self.eps}")
 
     @property
     def exact(self) -> bool:
@@ -269,13 +268,23 @@ def supersets(mask: int, n: int) -> Iterator[int]:
 # ---------------------------------------------------------------------------
 
 
+def _observed_cells(
+    domain: tuple[int, ...], values: np.ndarray, observed: np.ndarray
+) -> Iterator[tuple[int, int, Number]]:
+    """(alternative, frame, value) of each observed cell: frame by frame, alternatives ascending."""
+    columns, alts = np.nonzero(observed.T)
+    frames = np.array(domain, np.int64)[columns]
+    return zip(alts.tolist(), frames.tolist(), values.T[observed.T].tolist())
+
+
 class CellView(Mapping):
     """Read-only mapping ``(alternative, frame) -> probability`` over a frame matrix.
 
     Column ``j`` of ``values``/``observed`` holds frame ``domain[j]`` (sorted
-    masks).  A lookup bisects ``domain``; iteration, ``keys``, ``values`` and
-    ``items`` walk the observed cells frame by frame, alternatives ascending
-    within a frame, as ``to_csv`` writes them.
+    masks).  A lookup bisects ``domain``; iteration walks the observed cells
+    frame by frame, alternatives ascending within a frame, as ``to_csv``
+    writes them.  ``get``, ``in``, ``items``, ``values`` and ``==`` come from
+    :class:`~collections.abc.Mapping`, one lookup per key.
     """
 
     __slots__ = ("_domain", "_values", "_observed")
@@ -283,53 +292,27 @@ class CellView(Mapping):
     def __init__(self, domain: tuple[int, ...], values: np.ndarray, observed: np.ndarray):
         self._domain, self._values, self._observed = domain, values, observed
 
-    def get(self, key: tuple[int, int], default: object = None):
+    def __getitem__(self, key: tuple[int, int]) -> Number:
         try:
             alt, frame = key
-            j = bisect_left(self._domain, frame)
-            if j == len(self._domain) or self._domain[j] != frame:
-                return default
-            if not 0 <= alt < len(self._observed) or not self._observed.item(alt, j):
-                return default
-        except (TypeError, ValueError):  # not an (alternative, frame) pair of ints
-            return default
-        return self._values.item(alt, j)
-
-    def __getitem__(self, key: tuple[int, int]) -> Number:
-        p = self.get(key, _MISSING)
-        if p is _MISSING:
-            raise KeyError(key)
-        return p
-
-    def __contains__(self, key: object) -> bool:
-        return self.get(key, _MISSING) is not _MISSING
+            a, f = int(alt), int(frame)
+            j = bisect_left(self._domain, f)
+            # as in a dict, a key equal to an int pair finds its cell: (0.0, 3) but not (0.5, 3)
+            if (a, f) == key and j < len(self._domain) and self._domain[j] == f:
+                if 0 <= a < len(self._observed) and self._observed.item(a, j):
+                    return self._values.item(a, j)
+        except (TypeError, ValueError, OverflowError):  # no pair, or int() refused it (nan, inf)
+            pass
+        raise KeyError(key)
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self._observed))
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        columns, alts = np.nonzero(self._observed.T)
-        return zip(alts.tolist(), np.array(self._domain, np.int64)[columns].tolist())
-
-    def values(self) -> ValuesView:
-        return _CellValues(self)
-
-    def items(self) -> ItemsView:
-        return _CellItems(self)
+        return ((a, f) for a, f, _ in _observed_cells(self._domain, self._values, self._observed))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.items())!r})"
-
-
-class _CellValues(ValuesView):
-    def __iter__(self) -> Iterator[Number]:
-        view = self._mapping
-        return iter(view._values.T[view._observed.T].tolist())
-
-
-class _CellItems(ItemsView):
-    def __iter__(self) -> Iterator[tuple[tuple[int, int], Number]]:
-        return zip(self._mapping, self._mapping.values())
 
 
 @dataclass(frozen=True)
@@ -440,12 +423,12 @@ class StochasticChoiceData:
         writer.writerow(["frame", "alternative", "probability"])
         writer.writerows(
             [self.universe.frame_str(frame), self.universe.names[alt], number_to_str(p)]
-            for (alt, frame), p in self.probs.items()
+            for alt, frame, p in _observed_cells(self.domain, self.values, self.observed)
         )
         return out.getvalue()
 
     def to_json_dict(self) -> dict:
-        cells = ((alt, frame, p) for (alt, frame), p in self.probs.items())
+        cells = _observed_cells(self.domain, self.values, self.observed)
         return {
             "universe": list(self.universe.names),
             "numeric_mode": self.policy.mode,

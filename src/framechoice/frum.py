@@ -37,6 +37,11 @@ MAX_WITNESS_N = 6  # path count beyond this makes automatic recovery unhelpful
 MAX_FEASIBILITY_N = 6  # LP column cap (9786 types); on the full domain, recovery walks n! paths
 
 
+def _canonical(t: ChoiceType) -> tuple:
+    """Report order of choice types: by priority length, then priority, then default."""
+    return (len(t.priority), t.priority, t.default_index)
+
+
 @dataclass(frozen=True)
 class TypeDistribution:
     """Probability weights over choice types (zero-weight types may be omitted)."""
@@ -62,10 +67,7 @@ class TypeDistribution:
         return self.weights.get(ctype, self.policy.zero())
 
     def support(self) -> list[ChoiceType]:
-        return sorted(
-            (t for t, w in self.weights.items() if w > 0),
-            key=lambda t: (len(t.priority), t.priority, t.default_index),
-        )
+        return sorted((t for t, w in self.weights.items() if w > 0), key=_canonical)
 
     def to_json_dict(self) -> dict:
         names = self.universe.names
@@ -77,9 +79,7 @@ class TypeDistribution:
                     "default": names[t.default],
                     "weight": number_to_json(self.weights[t]),
                 }
-                for t in sorted(
-                    self.weights, key=lambda t: (len(t.priority), t.priority, t.default_index)
-                )
+                for t in sorted(self.weights, key=_canonical)
             ],
         }
 
@@ -291,17 +291,14 @@ def recover_constructive(data: StochasticChoiceData) -> TypeDistribution:
     for _ in range(n):
         if not level:
             break
+        masks = {prefix: sum(1 << a for a in prefix) for prefix in level}
         by_set: dict[int, Number] = {}
         for prefix, g in level.items():
-            mask = 0
-            for a in prefix:
-                mask |= 1 << a
+            mask = masks[prefix]
             by_set[mask] = by_set.get(mask, table.policy.zero()) + g
         nxt: dict[tuple[int, ...], Number] = {}
         for prefix, g in level.items():
-            mask = 0
-            for a in prefix:
-                mask |= 1 << a
+            mask = masks[prefix]
             denom = by_set[mask]
             if not denom > 0:
                 continue

@@ -204,6 +204,8 @@ def projected_points(
 
     Frames where the three chosen alternatives carry zero mass are skipped.
     """
+    if len(set(alts)) != 3:
+        raise DataError("projection needs three distinct alternatives")
     rows = list(alts)  # a list picks rows; a tuple would index two axes
     points = []
     columns = zip(data.domain, data.values[rows].T.tolist(), data.observed[rows].all(axis=0))

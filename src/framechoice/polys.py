@@ -228,15 +228,11 @@ class HasseGraph:
 
 
 def export_hasse(table: BMTable) -> HasseGraph:
-    """Diagram with one outgoing edge per alternative at every node."""
-    n = table.universe.n
-    q_edges = []
-    leak_edges = []
-    for frame in range(1 << n):
-        for alt in range(n):
-            bit = 1 << alt
-            if frame & bit:
-                q_edges.append((frame, frame & ~bit, alt, table.q(alt, frame)))
-            else:
-                leak_edges.append((frame, alt, table.y(alt, frame)))
+    """Diagram with one outgoing edge per alternative at every node, frame by frame."""
+    framed, values = table.framed.T, table.values.T  # frame-major: row F holds frame F
+    frames, alts = np.nonzero(framed)
+    targets = frames ^ (1 << alts)
+    q_edges = zip(frames.tolist(), targets.tolist(), alts.tolist(), values[framed].tolist())
+    frames, alts = np.nonzero(~framed)
+    leak_edges = zip(frames.tolist(), alts.tolist(), values[~framed].tolist())
     return HasseGraph(table.universe, tuple(q_edges), tuple(leak_edges))

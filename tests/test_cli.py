@@ -86,9 +86,9 @@ class TestExitCodes:
             assert err == f"error: bad number literal {literal!r}\n", literal
 
     def test_negative_epsilon_is_usage_error(self, capsys):
-        # an infinite or NaN tolerance is as unusable as a negative one
+        # a NaN, infinite or huge tolerance is as unusable as a negative one
         path = str(DATA_DIR / "intro_full.csv")
-        for eps in ("-1", "inf", "nan"):
+        for eps in ("-1", "inf", "nan", "1e308"):
             assert run(["validate", "--in", path, "--epsilon", eps]) == 1, eps
             err = capsys.readouterr().err
             assert err.startswith("error: eps must be finite") and err.count("\n") == 1, eps
@@ -494,6 +494,8 @@ class TestCommandBranches:
         path = simulate_csv(tmp_path / "fl.csv", 3, 2)
         err = run_error(["plot", "--in", path, "--project", "a,b"], capsys)
         assert err == "error: --project needs exactly three labels\n"
+        err = run_error(["plot", "--in", path, "--project", "a,a,b"], capsys)
+        assert err == "error: projection needs three distinct alternatives\n"
 
     def test_plot_targets(self, tmp_path, capsys):
         path = simulate_csv(tmp_path / "fl.csv", 3, 2)

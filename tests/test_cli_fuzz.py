@@ -30,7 +30,7 @@ FILE_COMMANDS = ["validate", "bm", "hasse", "test-fum", "repr-fum", "test-frum",
 COMMON_FLAGS = st.tuples(
     st.sampled_from([[], ["--numeric", "rational"], ["--numeric", "float64"]]),
     st.sampled_from([[], [], ["--epsilon=0.01"], ["--epsilon=0"], ["--epsilon=-1"],
-                     ["--epsilon=nan"], ["--epsilon=inf"]]),
+                     ["--epsilon=nan"], ["--epsilon=inf"], ["--epsilon=1e308"]]),
 ).map(lambda t: [*t[0], *t[1]])
 
 # the flags that only some file commands take

@@ -1,5 +1,6 @@
 """Parsing, validation, numeric policy, and frame encoding."""
 
+import csv
 import functools
 import operator
 import pickle
@@ -435,10 +436,14 @@ class TestFrameMatrix:
         assert ((1, 0b11), 0.6) in data.probs.items() and 0.2 in data.probs.values()
         with pytest.raises(KeyError):
             data.probs[(1, 0b01)]
-        # like a dict, the view answers "absent" for a key that is no cell
-        for key in (5, (0,), ("a", 1), (1, "a"), (0, 1, 2), None):
-            assert key not in data.probs and key not in probs
-            assert data.probs.get(key, "absent") == "absent"
+        # like a dict: a key equal to a cell's pair finds it, any other key is absent
+        cells = dict(data.probs)
+        for key in (
+            5, (0,), ("a", 1), (1, "a"), (0, 1, 2), None, (0.0, 3), (True, 3), (np.int64(0), 3),
+            (0, 3.0), (0.5, 3), ("0", 3), (float("nan"), 3), (float("inf"), 3),
+        ):
+            assert (key in data.probs) == (key in cells), key
+            assert data.probs.get(key, "absent") == cells.get(key, "absent"), key
 
     def test_get_and_rho_answer_every_cell_as_given(self):
         rng = random.Random(6)
@@ -454,6 +459,21 @@ class TestFrameMatrix:
                 data = StochasticChoiceData(default_universe(n), probs, policy)
                 assert data.probs == probs
                 assert list(data.probs) == sorted(probs, key=lambda cell: cell[::-1])
+                # the writers list the given cells by frame, then alternative
+                uni, cells = data.universe, sorted(probs.items(), key=lambda cell: cell[0][::-1])
+                rows = [[uni.frame_str(f), uni.names[a], number_to_str(p)] for (a, f), p in cells]
+                comment = "# universe: " + "|".join(uni.names)
+                header = [[comment], ["frame", "alternative", "probability"]]
+                assert list(csv.reader(data.to_csv().splitlines())) == header + rows
+                assert data.to_json_dict()["probs"] == [
+                    {
+                        "alternative": uni.names[a],
+                        "frame": uni.frame_str(f),
+                        "p": number_to_str(p) if policy.exact else p,
+                    }
+                    for (a, f), p in cells
+                ]
+                assert parse_stochastic(data.to_csv(), policy, allow_partial=True) == data
                 for a in range(-1, n + 1):
                     for f in range(-1, (1 << n) + 1):
                         assert data.get(a, f) == probs.get((a, f))
