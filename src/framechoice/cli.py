@@ -58,8 +58,13 @@ from .sim import SimConfig, default_universe, sample_fluce, sample_mu
 OK, REJECTED, USAGE = 0, 2, 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error ends in one ``error:`` line, as data errors do
+        raise DataError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="framechoice",
         description="Tests, recovery, and identification for frame-dependent choice data.",
     )
@@ -67,12 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--in", dest="infile", metavar="PATH", help="input file")
     common.add_argument("--out", dest="outfile", metavar="PATH", help="write output here")
-    common.add_argument("--format", choices=["json", "csv"], default="json")
     common.add_argument(
         "--numeric", choices=["float", "float64", "rational"], default="float"
     )
     common.add_argument("--epsilon", type=float, default=1e-9, metavar="E")
-    common.add_argument("--seed", type=int, default=0, metavar="S")
 
     sub = parser.add_subparsers(dest="command", required=True)
     cmd = {name: sub.add_parser(name, parents=[common]) for name in _COMMANDS}
@@ -94,6 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     simp.add_argument("--n", type=int, required=True)
     simp.add_argument("--sparsity", type=float, default=1.0)
     simp.add_argument("--emit", choices=["params", "data"], default="params")
+    simp.add_argument("--format", choices=["json", "csv"], default="json")
+    simp.add_argument("--seed", type=int, default=0, metavar="S")
     plot = cmd["plot"]
     plot.add_argument("--targets", help="comma-separated target frames (| joins labels)")
     plot.add_argument("--project", help="three labels to project larger universes onto")
@@ -335,18 +340,16 @@ def _write(path: str | None, text: str) -> None:
 
 def run(argv: list[str]) -> int:
     """Parse argv, execute, and write the report; returns the exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return OK if exc.code in (0, None) else USAGE
-    started = time.perf_counter()
-    try:
+        args = build_parser().parse_args(argv)
+        started = time.perf_counter()
         code, payload = _execute(args)
         if not isinstance(payload, str):
             payload["timings"] = {"total_ms": round(1000 * (time.perf_counter() - started), 3)}
             payload = dumps_json(payload) + "\n"
         _write(args.outfile, payload)
+    except SystemExit as exc:  # --help and --version, once printed
+        return OK if exc.code in (0, None) else USAGE
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

@@ -159,14 +159,13 @@ class Universe:
         for name in names:
             if not name or any(ch in name for ch in _RESERVED):
                 raise DataError(f"bad alternative label {name!r}")
-        # label lookup and per-instance frame codec memos; not dataclass
-        # fields, so equality, hash and repr still see only ``names``
+        # label lookup and the frame_str memo; not dataclass fields, so
+        # equality, hash and repr still see only ``names``
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
-        object.__setattr__(self, "_masks", {})
         object.__setattr__(self, "_texts", {})
 
     def __reduce__(self):
-        """Pickle by names alone; a copy fills its own memos."""
+        """Pickle by names alone; a copy fills its own memo."""
         return (Universe, (self.names,))
 
     @property
@@ -186,29 +185,16 @@ class Universe:
     def frame(self, labels: Iterable[str] | str) -> int:
         """Build a frame mask from labels (iterable, or a ``|``-joined string).
 
-        Blanks around each label of a string are ignored.  A string's mask is
-        memoized once it parses; a failing string is not, so it raises again
-        on every call.
+        Blanks around each label of a string are ignored.
         """
-        text = labels if isinstance(labels, str) else None
-        if text is not None:
-            mask = self._masks.get(text)
-            if mask is not None:
-                return mask
-            labels = [] if text == "" else [label.strip() for label in text.split("|")]
+        if isinstance(labels, str):
+            labels = [] if labels == "" else [label.strip() for label in labels.split("|")]
         mask = 0
         for label in labels:
             bit = 1 << self.index(label)
             if mask & bit:
                 raise DataError(f"duplicate label {label!r} in frame")
             mask |= bit
-        if text is not None:
-            # key on the string frame_str keeps: holding a cell of a parsed
-            # file instead would pin the freed memory around it
-            canonical = self.frame_str(mask)
-            self._masks[canonical] = mask
-            if text != canonical:
-                self._masks[text] = mask
         return mask
 
     def frame_str(self, mask: int) -> str:
@@ -540,17 +526,20 @@ def parse_stochastic(
     frame).  The universe is the union of labels seen, unless an explicit
     ``# universe: a|b|c`` comment is present.  Frames with observations for
     only some alternatives are rejected unless ``allow_partial`` is set; they
-    are never renormalized.
+    are never renormalized.  An unknown alternative is reported before a bad
+    frame, and both before the first duplicate row or bad number.
     """
     (frames, alts, ps), explicit = _read_columns(text, ["frame", "alternative", "probability"])
     universe = explicit or _infer_universe(alts, frames)
-    index, frame, parse = universe.index, universe.frame, policy.parse
+    # each string once, in order of first appearance: a full domain repeats every frame n times
+    index = {s: universe.index(s) for s in dict.fromkeys(alts)}
+    mask = {s: universe.frame(s) for s in dict.fromkeys(frames)}
     probs: dict[tuple[int, int], Number] = {}
     for frame_s, alt_s, p_s in zip(frames, alts, ps):
-        key = (index(alt_s), frame(frame_s))
+        key = (index[alt_s], mask[frame_s])
         if key in probs:
             raise DataError(f"duplicate row for ({alt_s!r}, {frame_s!r})")
-        probs[key] = parse(p_s)
+        probs[key] = policy.parse(p_s)
     data = StochasticChoiceData(universe, probs, policy)
     if data.partial and not allow_partial:
         raise DataError(

@@ -38,8 +38,8 @@ class ChoiceType:
         k = len(self.priority)
         if k < 1:
             raise DataError("priority list must be non-empty")
-        if len(set(self.priority)) != k:
-            raise DataError("priority entries must be distinct")
+        if len(set(self.priority)) != k or min(self.priority) < 0:
+            raise DataError("priority entries must be distinct nonnegative alternative indices")
         if not 1 <= self.default_index <= k:
             raise DataError(f"default_index must be in 1..{k}")
 

@@ -367,6 +367,8 @@ class Prop2Report:
 
 def check_prop2(data: StochasticChoiceData, mu: TypeDistribution) -> Prop2Report:
     """Verify both identification clauses for every (alternative, frame)."""
+    if mu.universe != data.universe:
+        raise DataError("type distribution and data must share a universe")
     table = compute_bm(data)
     n = data.universe.n
     size = 1 << n

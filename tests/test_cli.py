@@ -68,7 +68,29 @@ def simulate_csv(path, n, seed):
 
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self, capsys):
-        assert run(["frobnicate"]) == 1
+        assert run_error(["frobnicate"], capsys).startswith("error: argument command: invalid choice")
+
+    def test_argparse_errors_are_one_line(self, capsys):
+        path = str(DATA_DIR / "intro_full.csv")
+        for argv, message in (
+            (["validate", "--in", path, "--bogus"], "unrecognized arguments: --bogus"),
+            (["test-frum", "--in", path, "--numeric", "bogus"], "argument --numeric: invalid choice"),
+            (["enumerate-types"], "the following arguments are required: --n"),
+        ):
+            assert run_error(argv, capsys).startswith(f"error: {message}"), argv
+
+    def test_simulate_flags_belong_to_simulate(self, capsys):
+        # --format and --seed are read by simulate alone; elsewhere they are unknown
+        path = str(DATA_DIR / "intro_full.csv")
+        for argv in (["bm", "--in", path, "--format", "csv"], ["test-frum", "--in", path, "--seed", "3"]):
+            err = run_error(argv, capsys)
+            assert err == f"error: unrecognized arguments: {' '.join(argv[-2:])}\n", argv
+
+    def test_help_and_version_exit_zero(self, capsys):
+        for argv in (["--help"], ["--version"], ["simulate", "--help"]):
+            assert run(argv) == 0, argv
+            captured = capsys.readouterr()
+            assert captured.out and captured.err == "", argv
 
     def test_missing_file_is_usage_error(self, capsys):
         assert run(["validate", "--in", "/nonexistent/file.csv"]) == 1

@@ -177,7 +177,7 @@ class TestParseStochastic:
             assert second.to_csv() == first.to_csv() == text
 
     def test_duplicate_label_in_frame_fails_every_time(self):
-        # a failing frame string is not memoized: both rows and both parses raise
+        # no frame string is memoized: both parses and both calls raise
         text = "frame,alternative,probability\na|a,a,0.5\na|a,b,0.5\n"
         for _ in range(2):
             with pytest.raises(DataError, match=r"^duplicate label 'a' in frame$"):
@@ -198,6 +198,37 @@ class TestParseStochastic:
             for _ in range(2):
                 with pytest.raises(DataError, match=r"^unknown alternative 'z'$"):
                     parse_stochastic(head + body, FLOAT64, allow_partial=True)
+
+    def test_labels_then_frames_then_rows(self):
+        # each distinct string converts before the rows are read: row 2's
+        # unknown label outranks row 1's bad number, and a bad frame outranks
+        # an earlier duplicate row; a lone fault keeps its message
+        head = "# universe: a|b\nframe,alternative,probability\n"
+        for body, message in (
+            (",a,x\n,z,0.5\n", "unknown alternative 'z'"),
+            ("a|a,a,0.5\n,z,0.5\n", "unknown alternative 'z'"),
+            (",a,0.5\n,a,0.5\nb|b,b,0.5\n", "duplicate label 'b' in frame"),
+            (",a,x\na|a,b,0.5\n", "duplicate label 'a' in frame"),
+            (",a,0.5\n,a,x\n", "duplicate row for ('a', '')"),
+            (",a,x\n,a,0.5\n", "bad number literal 'x'"),
+        ):
+            with pytest.raises(DataError) as info:
+                parse_stochastic(head + body, FLOAT64, allow_partial=True)
+            assert str(info.value) == message, body
+
+    def test_each_distinct_string_converts_once(self, monkeypatch):
+        text = forward_fluce(sample_fluce(SimConfig(seed=1, n=4)), range(16)).to_csv()
+        calls = {"index": [], "frame": []}
+        for name, seen in calls.items():
+            def counted(self, arg, original=getattr(Universe, name), seen=seen):
+                seen.append(arg)
+                return original(self, arg)
+            monkeypatch.setattr(Universe, name, counted)
+        uni = parse_stochastic(text).universe
+        # index: the alternative column's four labels, then one per frame member
+        assert calls["index"][:4] == list(uni.names)
+        assert len(calls["index"]) == 4 + sum(len(members(f)) for f in range(16))
+        assert calls["frame"] == [uni.frame_str(f) for f in range(16)]
 
     def test_blanks_around_frame_labels_are_stripped(self):
         # as in the alternative column; a padded label is not a new alternative

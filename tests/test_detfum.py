@@ -118,6 +118,9 @@ class TestEvaluate:
             ChoiceType((0, 0), 1)
         with pytest.raises(DataError):
             ChoiceType((0, 1), 3)
+        # -1 would index the last label and then feed a negative shift to choose()
+        with pytest.raises(DataError, match="^priority entries must be distinct nonnegative"):
+            ChoiceType((-1, 0), 1)
 
 
 class TestIIFA:

@@ -10,6 +10,7 @@ from framechoice.core import (
     FLOAT64,
     RATIONAL,
     StochasticChoiceData,
+    Universe,
     parse_stochastic,
 )
 from framechoice import frum
@@ -317,6 +318,17 @@ class TestProp2:
             vertex = feasible_completion(data).witness
             assert check_prop2(data, canonical).max_discrepancy == 0
             assert check_prop2(data, vertex).max_discrepancy == 0
+
+
+    def test_mixture_must_share_the_data_universe(self):
+        mu = sample_mu(SimConfig(seed=3, n=3))
+        data = forward_frum(mu, range(8))
+        wider = sample_mu(SimConfig(seed=3, n=4))  # indexed past the data's alternatives
+        relabelled = TypeDistribution(Universe(("x", "y", "z")), mu.weights)  # passed silently
+        for other in (wider, relabelled):
+            with pytest.raises(DataError, match="^type distribution and data must share a universe$"):
+                check_prop2(data, other)
+        assert check_prop2(data, mu).max_discrepancy <= 8 * data.policy.eps
 
 
 class TestFeasibility:
