@@ -10,15 +10,16 @@ rational arithmetic backed by :class:`fractions.Fraction`.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from bisect import bisect_left
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
-from math import comb
-from typing import Iterable, Iterator, Union
+from itertools import chain, repeat
+from math import comb, isfinite
+from operator import index, itemgetter
+from types import SimpleNamespace
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -210,12 +211,84 @@ class Universe:
         return iter(range(1 << self.n))
 
 
-def cell_records(universe: Universe, cells: Iterable, key: str) -> list[dict]:
-    """JSON records ``{alternative, frame, <key>}`` of (alternative, frame, value) cells."""
-    return [
-        {"alternative": universe.names[a], "frame": universe.frame_str(f), key: number_to_json(v)}
-        for a, f, v in cells
-    ]
+class Records(Sequence):
+    """JSON records kept as columns until :func:`dumps_json` writes them.
+
+    ``columns`` maps each field to ``(keys, lookup)``: record ``i`` holds
+    ``lookup(keys[i])``.  A column whose lookup is ``number_to_json`` holds
+    numbers, each written as ``json`` writes it (``float.__repr__`` for a
+    finite float); any other column is written once per distinct key, so a
+    label or frame shared by many records goes through ``json.dumps`` once.
+    Indexing, iteration and ``==`` build the records as dicts, so the records
+    compare equal to the list of dicts that would be written the same way.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: dict[str, tuple[Sequence, Callable]]):
+        self._columns = sorted(columns.items())  # the key order of dumps_json
+
+    @classmethod
+    def cells(
+        cls, universe: Universe, alts: Sequence, frames: Sequence, values: Sequence, key: str
+    ) -> Records:
+        """Records ``{alternative, frame, <key>}`` of cells given as three columns."""
+        return cls({
+            "alternative": (alts, universe.names.__getitem__),
+            "frame": (frames, universe.frame_str),
+            key: (values, number_to_json),
+        })
+
+    def __len__(self) -> int:
+        return len(self._columns[0][1][0]) if self._columns else 0
+
+    def __getitem__(self, i: int) -> dict:
+        return {name: lookup(keys[i]) for name, (keys, lookup) in self._columns}
+
+    def __eq__(self, other) -> bool:
+        return list(self) == (list(other) if isinstance(other, Records) else other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def to_json(self) -> str:
+        texts = []
+        for _, (keys, lookup) in self._columns:
+            if lookup is number_to_json:
+                texts.append(_number_texts(keys))
+            else:
+                once = {k: json.dumps(lookup(k)) for k in dict.fromkeys(keys)}
+                texts.append(map(once.__getitem__, keys))
+        record = "{{" + ",".join(json.dumps(name) + ":{}" for name, _ in self._columns) + "}}"
+        return "[" + ",".join(map(record.format, *texts)) + "]"
+
+
+def _number_texts(values: Sequence) -> Iterable[str]:
+    """``json.dumps(number_to_json(x))`` for each number of a column."""
+    kinds = set(map(type, values))
+    if kinds == {float} and all(map(isfinite, values)):
+        return map(float.__repr__, values)
+    if kinds == {Fraction}:  # digits, sign, point and slash: nothing to escape
+        return ('"' + number_to_str(x) + '"' for x in values)
+    return (json.dumps(number_to_json(x)) for x in values)
+
+
+def columns_of(rows: Sequence[tuple], width: int) -> tuple[list, ...]:
+    """The ``width`` columns of a sequence of tuples."""
+    return tuple(list(map(itemgetter(i), rows)) for i in range(width))
+
+
+def _csv_fields(texts: Iterable[str]) -> list[str]:
+    """Each string as ``csv`` writes it inside a row.
+
+    Each is written as the first of two fields: alone, an empty field would
+    be written ``""``, which a row of several fields never does.
+    """
+    lines: list[str] = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(
+        (text, "") for text in texts
+    )
+    return [line[:-2] for line in lines]
 
 
 def members(mask: int) -> tuple[int, ...]:
@@ -256,11 +329,13 @@ def supersets(mask: int, n: int) -> Iterator[int]:
 
 def _observed_cells(
     domain: tuple[int, ...], values: np.ndarray, observed: np.ndarray
-) -> Iterator[tuple[int, int, Number]]:
-    """(alternative, frame, value) of each observed cell: frame by frame, alternatives ascending."""
+) -> tuple[list[int], list[int], list[Number]]:
+    """Alternative, frame and value columns of the observed cells.
+
+    Frame by frame, alternatives ascending within a frame.
+    """
     columns, alts = np.nonzero(observed.T)
-    frames = np.array(domain, np.int64)[columns]
-    return zip(alts.tolist(), frames.tolist(), values.T[observed.T].tolist())
+    return alts.tolist(), np.array(domain, np.int64)[columns].tolist(), values.T[observed.T].tolist()
 
 
 class CellView(Mapping):
@@ -295,7 +370,8 @@ class CellView(Mapping):
         return int(np.count_nonzero(self._observed))
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return ((a, f) for a, f, _ in _observed_cells(self._domain, self._values, self._observed))
+        alts, frames, _ = _observed_cells(self._domain, self._values, self._observed)
+        return zip(alts, frames)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.items())!r})"
@@ -318,7 +394,8 @@ class StochasticChoiceData:
     a :class:`CellView` of that matrix and keeps no reference to the caller's
     mapping, so the cells are stored once and changing the input afterwards
     changes no answer.  ``values`` and ``observed`` are not fields; equality
-    and repr see the cells through ``probs``.
+    and repr see the cells through ``probs``.  Of several faulty cells, the
+    first in the caller's order is reported.
     """
 
     universe: Universe
@@ -329,31 +406,44 @@ class StochasticChoiceData:
 
     def __post_init__(self) -> None:
         n = self.universe.n
-        full = self.universe.full_frame
         exact = self.policy.exact
-        native = Fraction if exact else float  # spares most cells the ABCMeta isinstance
-        floor = 0 if exact else -self.policy.eps  # is_nonneg(x) is x >= floor
-        for (alt, frame), p in self.probs.items():
-            if not 0 <= alt < n:
-                raise DataError(f"alternative index {alt} out of range")
-            if not 0 <= frame <= full:
-                raise DataError(f"frame mask {frame} out of range")
-            if type(p) is not native and exact != isinstance(p, Fraction):
-                raise DataError("probability representation does not match numeric mode")
-            if not (p >= floor and 1 - p >= floor):
-                raise DataError(
-                    f"probability {number_to_str(p)} for ({self.universe.names[alt]!r}, "
-                    f"{self.universe.frame_str(frame)!r}) outside [0,1]"
-                )
-        cells = len(self.probs)
+        native = Fraction if exact else float
         dtype = object if exact else np.float64
-        keys = np.fromiter(chain.from_iterable(self.probs), np.int64, 2 * cells).reshape(cells, 2)
-        probs = np.fromiter(self.probs.values(), dtype, cells)
-        domain, column = np.unique(keys[:, 1], return_inverse=True)
+        parsed = isinstance(self.probs, _Cells)
+        if parsed:  # the parser's columns: every key is in range, every value native
+            alts, frames, probs = self.probs
+            odd = np.zeros(len(probs), bool)
+        else:
+            cells = len(self.probs)
+            try:
+                flat = np.fromiter(map(index, chain.from_iterable(self.probs)), np.int64)
+                pairs = flat.reshape(cells, 2)
+                probs = np.fromiter(self.probs.values(), dtype, cells)
+            except (TypeError, ValueError, OverflowError):  # a key that is no pair of ints...
+                for key, p in self.probs.items():
+                    self._check_cell(key, p)  # ...out of range is named as a cell check would
+                raise
+            alts, frames = pairs.T
+            if set(map(type, self.probs.values())) <= {native}:
+                odd = np.zeros(cells, bool)
+            else:  # a float mode int, a string...: those cells are checked one by one
+                odd = np.fromiter((type(p) is not native for p in self.probs.values()), bool, cells)
+        # the checks as array comparisons; a cell they flag is checked again on its
+        # own, in the caller's order, so the first faulty cell names the error
+        floor = 0 if exact else -self.policy.eps  # is_nonneg(x) is x >= floor
+        flagged = odd | (alts < 0) | (alts >= n) | (frames < 0) | (frames > self.universe.full_frame)
+        fine = probs[~flagged]
+        flagged[~flagged] = ~((fine >= floor) & (1 - fine >= floor))
+        if flagged.any():
+            keys = zip(alts.tolist(), frames.tolist())
+            given = list(zip(keys, probs.tolist()) if parsed else self.probs.items())
+            for i in np.flatnonzero(flagged).tolist():
+                self._check_cell(*given[i])
+        domain, column = np.unique(frames, return_inverse=True)
         values = np.zeros((n, len(domain)), dtype)
-        values[keys[:, 0], column] = probs
+        values[alts, column] = probs
         observed = np.zeros(values.shape, bool)
-        observed[keys[:, 0], column] = True
+        observed[alts, column] = True
         totals = np.zeros(len(domain), dtype)  # 0 + p1 + p2 ..., in row order, as sum() adds
         np.add.at(totals, column, probs)
         complete = observed.all(axis=0)
@@ -372,6 +462,23 @@ class StochasticChoiceData:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "observed", observed)
         object.__setattr__(self, "probs", CellView(self.domain, values, observed))
+
+    def _check_cell(self, key, p) -> None:
+        """Every check of one cell; the array checks flag the cells that this then names."""
+        alt, frame = key
+        if not 0 <= alt < self.universe.n:
+            raise DataError(f"alternative index {alt} out of range")
+        if not 0 <= frame <= self.universe.full_frame:
+            raise DataError(f"frame mask {frame} out of range")
+        exact = self.policy.exact
+        if type(p) is not (Fraction if exact else float) and exact != isinstance(p, Fraction):
+            raise DataError("probability representation does not match numeric mode")
+        floor = 0 if exact else -self.policy.eps
+        if not (p >= floor and 1 - p >= floor):
+            raise DataError(
+                f"probability {number_to_str(p)} for ({self.universe.names[alt]!r}, "
+                f"{self.universe.frame_str(frame)!r}) outside [0,1]"
+            )
 
     def rho(self, alt: int, frame: int) -> Number:
         p = self.get(alt, frame)
@@ -403,24 +510,35 @@ class StochasticChoiceData:
         return bool((self.values[self.observed] > 0).all())
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(f"# universe: {'|'.join(self.universe.names)}\n")
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["frame", "alternative", "probability"])
-        writer.writerows(
-            [self.universe.frame_str(frame), self.universe.names[alt], number_to_str(p)]
-            for alt, frame, p in _observed_cells(self.domain, self.values, self.observed)
+        uni = self.universe
+        alts, frames, values = _observed_cells(self.domain, self.values, self.observed)
+        frame = dict(zip(self.domain, _csv_fields(map(uni.frame_str, self.domain))))
+        numbers = map(number_to_str if self.policy.exact else float.__repr__, values)
+        rows = map(
+            "{},{},{}\n".format,
+            map(frame.__getitem__, frames),
+            map(_csv_fields(uni.names).__getitem__, alts),
+            numbers,  # a number literal holds nothing that csv quotes
         )
-        return out.getvalue()
+        return f"# universe: {'|'.join(uni.names)}\nframe,alternative,probability\n" + "".join(rows)
 
     def to_json_dict(self) -> dict:
-        cells = _observed_cells(self.domain, self.values, self.observed)
         return {
             "universe": list(self.universe.names),
             "numeric_mode": self.policy.mode,
             "frames": [self.universe.frame_str(f) for f in self.domain],
-            "probs": cell_records(self.universe, cells, "p"),
+            "probs": Records.cells(
+                self.universe, *_observed_cells(self.domain, self.values, self.observed), "p"
+            ),
         }
+
+
+class _Cells(NamedTuple):
+    """Parsed cells as row-order columns: alternative, frame mask and value arrays."""
+
+    alts: np.ndarray
+    frames: np.ndarray
+    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -452,22 +570,21 @@ class DeterministicChoiceData:
             raise DataError(f"no observation for frame {self.universe.frame_str(frame)!r}") from None
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(f"# universe: {'|'.join(self.universe.names)}\n")
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["frame", "choice"])
-        for frame in self.domain:
-            writer.writerow([self.universe.frame_str(frame), self.universe.names[self.choices[frame]]])
-        return out.getvalue()
+        uni = self.universe
+        labels = _csv_fields(uni.names)
+        picks = (labels[self.choices[f]] for f in self.domain)
+        rows = map("{},{}\n".format, _csv_fields(map(uni.frame_str, self.domain)), picks)
+        return f"# universe: {'|'.join(uni.names)}\nframe,choice\n" + "".join(rows)
 
     def to_json_dict(self) -> dict:
+        uni = self.universe
         return {
-            "universe": list(self.universe.names),
-            "frames": [self.universe.frame_str(f) for f in self.domain],
-            "choices": [
-                {"frame": self.universe.frame_str(f), "choice": self.universe.names[self.choices[f]]}
-                for f in self.domain
-            ],
+            "universe": list(uni.names),
+            "frames": [uni.frame_str(f) for f in self.domain],
+            "choices": Records({
+                "frame": (self.domain, uni.frame_str),
+                "choice": ([self.choices[f] for f in self.domain], uni.names.__getitem__),
+            }),
         }
 
 
@@ -477,7 +594,11 @@ class DeterministicChoiceData:
 
 
 def _read_columns(text: str, header: list[str]) -> tuple[list[list[str]], Universe | None]:
-    """The body's stripped cells, one list per header field, and any ``# universe:``."""
+    """The body's fields, unstripped, one list per header field, and any ``# universe:``.
+
+    Without a ``"`` in the text the lines are split on commas in bulk;
+    quoted fields are read by ``csv``.
+    """
     explicit: Universe | None = None
     lines = []
     for raw in text.splitlines():
@@ -494,18 +615,34 @@ def _read_columns(text: str, header: list[str]) -> tuple[list[list[str]], Univer
         lines.append(raw)
     if not lines:
         raise DataError("missing header row")
-    rows = list(csv.reader(lines))
-    got = [cell.strip() for cell in rows[0]]
+    width = len(header)
+    if '"' in text:  # quoted fields: the csv module's rules
+        head, *rows = csv.reader(lines)
+    else:
+        head, rows = lines[0].split(","), None
+    got = [cell.strip() for cell in head]
     if got != header:
         raise DataError(f"expected header {','.join(header)!r}, got {','.join(got)!r}")
-    body = rows[1:]
-    for row in body:
-        if len(row) != len(header):
-            raise DataError(f"row {row!r} has {len(row)} fields, expected {len(header)}")
-    return [[row[i].strip() for row in body] for i in range(len(header))], explicit
+    if rows is None:  # one split of the whole body, once each line has width - 1 commas
+        body = lines[1:]
+        commas = np.fromiter(map(str.count, body, repeat(",")), np.int64, len(body))
+        wrong = np.flatnonzero(commas != width - 1)
+        if not wrong.size:
+            fields = ",".join(body).split(",") if body else []
+            return [fields[i::width] for i in range(width)], explicit
+        rows = [body[wrong[0]].split(",")]
+    for row in rows:
+        if len(row) != width:
+            raise DataError(f"row {row!r} has {len(row)} fields, expected {width}")
+    return [[row[i] for row in rows] for i in range(width)], explicit
 
 
-def _infer_universe(alts: list[str], frames: list[str]) -> Universe:
+def _stripped(column: list[str]) -> dict[str, str]:
+    """Each distinct string of a column, in order of first appearance, to its stripped form."""
+    return {text: text.strip() for text in dict.fromkeys(column)}
+
+
+def _infer_universe(alts: Iterable[str], frames: Iterable[str]) -> Universe:
     """The sorted labels of the alternative column and of every frame."""
     labels = set(alts)
     for frame_s in set(frames):
@@ -513,6 +650,21 @@ def _infer_universe(alts: list[str], frames: list[str]) -> Universe:
     if not labels:
         raise DataError("cannot infer a universe from empty data; add a '# universe:' header")
     return Universe(tuple(sorted(labels)))
+
+
+def _parse_numbers(texts: list[str], policy: NumericPolicy) -> np.ndarray:
+    """A column's numbers: ``float`` on every text at once, else ``policy.parse`` on each.
+
+    ``float`` takes a subset of the blanks that ``policy.parse`` strips, so
+    where it succeeds the two agree; a ``p/q`` literal, a rational mode or a
+    bad literal to name goes through ``policy.parse``.
+    """
+    if not policy.exact:
+        try:
+            return np.fromiter(map(float, texts), np.float64, len(texts))
+        except ValueError:
+            pass
+    return np.fromiter(map(policy.parse, texts), object if policy.exact else np.float64, len(texts))
 
 
 def parse_stochastic(
@@ -530,17 +682,26 @@ def parse_stochastic(
     frame, and both before the first duplicate row or bad number.
     """
     (frames, alts, ps), explicit = _read_columns(text, ["frame", "alternative", "probability"])
-    universe = explicit or _infer_universe(alts, frames)
-    # each string once, in order of first appearance: a full domain repeats every frame n times
-    index = {s: universe.index(s) for s in dict.fromkeys(alts)}
-    mask = {s: universe.frame(s) for s in dict.fromkeys(frames)}
-    probs: dict[tuple[int, int], Number] = {}
-    for frame_s, alt_s, p_s in zip(frames, alts, ps):
-        key = (index[alt_s], mask[frame_s])
-        if key in probs:
-            raise DataError(f"duplicate row for ({alt_s!r}, {frame_s!r})")
-        probs[key] = policy.parse(p_s)
-    data = StochasticChoiceData(universe, probs, policy)
+    alt_text, frame_text = _stripped(alts), _stripped(frames)
+    universe = explicit or _infer_universe(alt_text.values(), frame_text.values())
+    # each distinct string converts once, labels first: a full domain repeats every frame n times
+    label = {s: universe.index(s) for s in dict.fromkeys(alt_text.values())}
+    mask = {s: universe.frame(s) for s in dict.fromkeys(frame_text.values())}
+    alt_of = {raw: label[s] for raw, s in alt_text.items()}
+    frame_of = {raw: mask[s] for raw, s in frame_text.items()}
+    rows = len(ps)
+    alt_col = np.fromiter(map(alt_of.__getitem__, alts), np.int64, rows)
+    frame_col = np.fromiter(map(frame_of.__getitem__, frames), np.int64, rows)
+    key = frame_col * universe.n + alt_col
+    order = np.argsort(key, kind="stable")
+    repeats = order[1:][key[order[1:]] == key[order[:-1]]]  # each row equal to an earlier one
+    first = int(repeats.min()) if repeats.size else rows
+    # a bad number before the first repeated row is reported first
+    probs = _parse_numbers(ps[:first], policy)
+    if first < rows:
+        where = f"({alt_text[alts[first]]!r}, {frame_text[frames[first]]!r})"
+        raise DataError(f"duplicate row for {where}")
+    data = StochasticChoiceData(universe, _Cells(alt_col, frame_col, probs), policy)
     if data.partial and not allow_partial:
         raise DataError(
             "incomplete frames (missing alternatives are not imputed as 0): "
@@ -552,13 +713,14 @@ def parse_stochastic(
 def parse_deterministic(text: str) -> DeterministicChoiceData:
     """Parse ``frame,choice`` CSV content into a deterministic choice rule."""
     (frames, picks), explicit = _read_columns(text, ["frame", "choice"])
-    universe = explicit or _infer_universe(picks, frames)
+    frame_text, pick_text = _stripped(frames), _stripped(picks)
+    universe = explicit or _infer_universe(pick_text.values(), frame_text.values())
     choices: dict[int, int] = {}
-    for frame_s, choice_s in zip(frames, picks):
-        frame = universe.frame(frame_s)
+    for frame_s, choice_s in zip(frames, picks):  # row by row: the first faulty row is reported
+        frame = universe.frame(frame_text[frame_s])
         if frame in choices:
-            raise DataError(f"duplicate row for frame {frame_s!r}")
-        choices[frame] = universe.index(choice_s)
+            raise DataError(f"duplicate row for frame {frame_text[frame_s]!r}")
+        choices[frame] = universe.index(pick_text[choice_s])
     return DeterministicChoiceData(universe, choices)
 
 
@@ -608,5 +770,15 @@ def validate(data: StochasticChoiceData) -> ValidationReport:
 
 
 def dumps_json(payload: dict) -> str:
-    """Canonical JSON used everywhere: sorted keys, stable separators."""
+    """Canonical JSON used everywhere: sorted keys, stable separators.
+
+    :class:`Records` are written from their columns.  A dict that holds a
+    dict or records is written key by key (its keys are strings); anything
+    else goes to ``json`` whole.
+    """
+    if isinstance(payload, Records):
+        return payload.to_json()
+    if isinstance(payload, dict) and any(isinstance(v, (dict, Records)) for v in payload.values()):
+        items = sorted(payload.items())
+        return "{" + ",".join(json.dumps(k) + ":" + dumps_json(v) for k, v in items) + "}"
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -23,9 +24,10 @@ from .core import (
     DataError,
     Number,
     NumericPolicy,
+    Records,
     StochasticChoiceData,
     Universe,
-    cell_records,
+    columns_of,
     members,
     number_to_json,
 )
@@ -125,9 +127,32 @@ class FrumVerdict:
         return {
             "accepted": self.accepted,
             "complete_domain": self.complete_domain,
-            "violations": [v.to_json_dict(universe) for v in self.violations],
+            "violations": _violation_records(self.violations, universe),
             "witness": self.witness.to_json_dict() if self.witness is not None else None,
         }
+
+
+def _violation_records(
+    violations: Sequence[BMViolation], universe: Universe
+) -> Records | list[dict]:
+    """The violations' JSON records, as ``BMViolation.to_json_dict`` writes each."""
+    bounded = {v.upper_frame is not None for v in violations}
+    if len(bounded) > 1:  # full and interval violations mixed: their records differ in keys
+        return [v.to_json_dict(universe) for v in violations]
+    frame, label = universe.frame_str, universe.names.__getitem__
+
+    def column(name: str) -> list:
+        return list(map(attrgetter(name), violations))
+
+    records = {
+        "kind": (column("kind"), str),
+        "alternative": (column("alternative"), label),
+        "frame": (column("frame"), frame),
+        "value": (column("value"), number_to_json),
+    }
+    if True in bounded:
+        records["upper_frame"] = (column("upper_frame"), frame)
+    return Records(records)
 
 
 class FrumRejectionError(DataError):
@@ -424,7 +449,7 @@ class DualCertificate:
     def to_json_dict(self, universe: Universe) -> dict:
         return {
             "kind": "dual",
-            "coefficients": cell_records(universe, self.coefficients, "coefficient"),
+            "coefficients": Records.cells(universe, *columns_of(self.coefficients, 3), "coefficient"),
             "normalization_coefficient": number_to_json(self.normalization_coefficient),
         }
 

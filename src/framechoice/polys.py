@@ -23,9 +23,10 @@ from .core import (
     DataError,
     Number,
     NumericPolicy,
+    Records,
     StochasticChoiceData,
     Universe,
-    cell_records,
+    columns_of,
     number_to_json,
     submasks,
 )
@@ -61,10 +62,14 @@ class BMTable:
         n = self.universe.n
         return (np.arange(1 << n) >> np.arange(n)[:, None]) & 1 == 1
 
+    def columns(self, where: np.ndarray) -> tuple[list[int], list[int], list[Number]]:
+        """Alternative, frame and value columns of the True cells of a mask, in stable order."""
+        alts, frames = np.nonzero(where)
+        return alts.tolist(), frames.tolist(), self.values[where].tolist()
+
     def cells(self, where: np.ndarray) -> Iterator[tuple[int, int, Number]]:
         """(alternative, frame, value) at the True cells of a mask, in stable order."""
-        alts, frames = np.nonzero(where)
-        return zip(alts.tolist(), frames.tolist(), self.values[where].tolist())
+        return zip(*self.columns(where))
 
     def q_items(self) -> Iterator[tuple[int, int, Number]]:
         """(alternative, frame, value) over all framed slots, in stable order."""
@@ -79,8 +84,8 @@ class BMTable:
         return {
             "universe": list(uni.names),
             "numeric_mode": self.policy.mode,
-            "q": cell_records(uni, self.q_items(), "value"),
-            "y": cell_records(uni, self.y_items(), "value"),
+            "q": Records.cells(uni, *self.columns(self.framed), "value"),
+            "y": Records.cells(uni, *self.columns(~self.framed), "value"),
         }
 
 
@@ -179,26 +184,23 @@ class HasseGraph:
 
     def to_json_dict(self) -> dict:
         uni = self.universe
+        frame, label = uni.frame_str, uni.names.__getitem__
+        src, dst, alts, values = columns_of(self.q_edges, 4)
+        leak, leak_alts, leak_values = columns_of(self.leak_edges, 3)
         return {
             "universe": list(uni.names),
             "nodes": [uni.frame_str(f) for f in self.nodes],
-            "q_edges": [
-                {
-                    "from": uni.frame_str(src),
-                    "to": uni.frame_str(dst),
-                    "alternative": uni.names[alt],
-                    "value": number_to_json(val),
-                }
-                for src, dst, alt, val in self.q_edges
-            ],
-            "leak_edges": [
-                {
-                    "from": uni.frame_str(frame),
-                    "alternative": uni.names[alt],
-                    "value": number_to_json(val),
-                }
-                for frame, alt, val in self.leak_edges
-            ],
+            "q_edges": Records({
+                "from": (src, frame),
+                "to": (dst, frame),
+                "alternative": (alts, label),
+                "value": (values, number_to_json),
+            }),
+            "leak_edges": Records({
+                "from": (leak, frame),
+                "alternative": (leak_alts, label),
+                "value": (leak_values, number_to_json),
+            }),
         }
 
     def to_dot(self) -> str:

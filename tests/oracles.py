@@ -3,16 +3,28 @@
 Each is written straight from a definition, reads only ``data.probs``,
 ``data.choices``, ``mu.weights``, ``table.q``/``table.y`` or an LP's rows, and
 returns plain values, so it stays independent of how the program lays out its
-tables.
+tables.  The CSV readers and the record writers at the end do the same work
+one row, cell or record at a time, through ``csv`` and one dict per record.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from framechoice.core import members, submasks
+from framechoice.core import (
+    DataError,
+    DeterministicChoiceData,
+    StochasticChoiceData,
+    Universe,
+    members,
+    number_to_json,
+    number_to_str,
+    submasks,
+)
 from framechoice.detfum import enumerate_types
 
 
@@ -171,3 +183,181 @@ def iifa_witnesses(data) -> list[tuple[str, int, int]]:
             if chosen not in members(big):
                 out.append(("IIFA2", big, small))
     return out
+
+
+# ---------------------------------------------------------------------------
+# CSV reading, one row at a time
+# ---------------------------------------------------------------------------
+
+
+def _read_columns(text: str, header: list[str]):
+    """The body's stripped cells, one list per header field, and any ``# universe:``."""
+    explicit = None
+    lines = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.lower().startswith("universe:"):
+                labels = body.split(":", 1)[1].strip()
+                names = tuple(lbl.strip() for lbl in labels.split("|"))
+                explicit = Universe(names) if labels else None
+            continue
+        lines.append(raw)
+    if not lines:
+        raise DataError("missing header row")
+    rows = list(csv.reader(lines))
+    got = [cell.strip() for cell in rows[0]]
+    if got != header:
+        raise DataError(f"expected header {','.join(header)!r}, got {','.join(got)!r}")
+    body = rows[1:]
+    for row in body:
+        if len(row) != len(header):
+            raise DataError(f"row {row!r} has {len(row)} fields, expected {len(header)}")
+    return [[row[i].strip() for row in body] for i in range(len(header))], explicit
+
+
+def _infer_universe(alts, frames) -> Universe:
+    labels = set(alts)
+    for frame_s in set(frames):
+        labels.update(filter(None, (lbl.strip() for lbl in frame_s.split("|"))))
+    if not labels:
+        raise DataError("cannot infer a universe from empty data; add a '# universe:' header")
+    return Universe(tuple(sorted(labels)))
+
+
+def oracle_parse_stochastic(text: str, policy, allow_partial: bool = False) -> StochasticChoiceData:
+    """``csv.reader``, then per row: two lookups, the duplicate check and ``policy.parse``.
+
+    Every distinct label, then every distinct frame, converts before the
+    rows are read; the cells go to the constructor as an (alt, frame) dict.
+    """
+    (frames, alts, ps), explicit = _read_columns(text, ["frame", "alternative", "probability"])
+    universe = explicit or _infer_universe(alts, frames)
+    index = {s: universe.index(s) for s in dict.fromkeys(alts)}
+    mask = {s: universe.frame(s) for s in dict.fromkeys(frames)}
+    probs = {}
+    for frame_s, alt_s, p_s in zip(frames, alts, ps):
+        key = (index[alt_s], mask[frame_s])
+        if key in probs:
+            raise DataError(f"duplicate row for ({alt_s!r}, {frame_s!r})")
+        probs[key] = policy.parse(p_s)
+    data = StochasticChoiceData(universe, probs, policy)
+    if data.partial and not allow_partial:
+        incomplete = [f for f in data.domain if not data.is_complete_frame(f)]
+        raise DataError(
+            "incomplete frames (missing alternatives are not imputed as 0): "
+            + ", ".join(repr(universe.frame_str(f)) for f in incomplete)
+        )
+    return data
+
+
+def oracle_parse_deterministic(text: str) -> DeterministicChoiceData:
+    """``csv.reader``, then per row: the frame, the duplicate check and the choice."""
+    (frames, picks), explicit = _read_columns(text, ["frame", "choice"])
+    universe = explicit or _infer_universe(picks, frames)
+    choices = {}
+    for frame_s, choice_s in zip(frames, picks):
+        frame = universe.frame(frame_s)
+        if frame in choices:
+            raise DataError(f"duplicate row for frame {frame_s!r}")
+        choices[frame] = universe.index(choice_s)
+    return DeterministicChoiceData(universe, choices)
+
+
+def oracle_check_cells(universe: Universe, probs: dict, policy) -> None:
+    """The constructor's checks, one cell at a time in the caller's order."""
+    for (alt, frame), p in probs.items():
+        if not 0 <= alt < universe.n:
+            raise DataError(f"alternative index {alt} out of range")
+        if not 0 <= frame <= universe.full_frame:
+            raise DataError(f"frame mask {frame} out of range")
+        if policy.exact != isinstance(p, Fraction):
+            raise DataError("probability representation does not match numeric mode")
+        if not (policy.is_nonneg(p) and policy.is_nonneg(1 - p)):
+            raise DataError(
+                f"probability {number_to_str(p)} for ({universe.names[alt]!r}, "
+                f"{universe.frame_str(frame)!r}) outside [0,1]"
+            )
+
+
+# ---------------------------------------------------------------------------
+# writers, one record at a time
+# ---------------------------------------------------------------------------
+
+
+def cell_dicts(universe: Universe, cells, key: str) -> list[dict]:
+    """``{alternative, frame, <key>}`` of (alternative, frame, value) cells, one dict each."""
+    return [
+        {"alternative": universe.names[a], "frame": universe.frame_str(f), key: number_to_json(v)}
+        for a, f, v in cells
+    ]
+
+
+def oracle_dataset_json(data) -> dict:
+    uni = data.universe
+    cells = sorted(data.probs.items(), key=lambda cell: cell[0][::-1])
+    return {
+        "universe": list(uni.names),
+        "numeric_mode": data.policy.mode,
+        "frames": [uni.frame_str(f) for f in data.domain],
+        "probs": cell_dicts(uni, ((a, f, p) for (a, f), p in cells), "p"),
+    }
+
+
+def oracle_table_json(table) -> dict:
+    uni = table.universe
+    n = uni.n
+    cells = [(a, f) for a in range(n) for f in range(1 << n)]
+    return {
+        "universe": list(uni.names),
+        "numeric_mode": table.policy.mode,
+        "q": cell_dicts(uni, ((a, f, table.q(a, f)) for a, f in cells if f >> a & 1), "value"),
+        "y": cell_dicts(uni, ((a, f, table.y(a, f)) for a, f in cells if not f >> a & 1), "value"),
+    }
+
+
+def oracle_verdict_json(verdict, universe: Universe) -> dict:
+    return {
+        "accepted": verdict.accepted,
+        "complete_domain": verdict.complete_domain,
+        "violations": [v.to_json_dict(universe) for v in verdict.violations],
+        "witness": verdict.witness.to_json_dict() if verdict.witness is not None else None,
+    }
+
+
+def oracle_certificate_json(cert, universe: Universe) -> dict:
+    return {
+        "kind": "dual",
+        "coefficients": cell_dicts(universe, cert.coefficients, "coefficient"),
+        "normalization_coefficient": number_to_json(cert.normalization_coefficient),
+    }
+
+
+def oracle_hasse_json(graph) -> dict:
+    uni = graph.universe
+    return {
+        "universe": list(uni.names),
+        "nodes": [uni.frame_str(f) for f in graph.nodes],
+        "q_edges": [
+            {"from": uni.frame_str(src), "to": uni.frame_str(dst), "alternative": uni.names[alt],
+             "value": number_to_json(val)}
+            for src, dst, alt, val in graph.q_edges
+        ],
+        "leak_edges": [
+            {"from": uni.frame_str(frame), "alternative": uni.names[alt], "value": number_to_json(val)}
+            for frame, alt, val in graph.leak_edges
+        ],
+    }
+
+
+def oracle_csv(universe: Universe, header: list[str], rows) -> str:
+    """The universe comment, then each row through ``csv.writer``."""
+    out = io.StringIO()
+    out.write(f"# universe: {'|'.join(universe.names)}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
