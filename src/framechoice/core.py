@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
 from math import comb, isfinite
-from operator import index, itemgetter
+from operator import attrgetter, index, itemgetter
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
@@ -430,10 +430,14 @@ class StochasticChoiceData:
                 odd = np.fromiter((type(p) is not native for p in self.probs.values()), bool, cells)
         # the checks as array comparisons; a cell they flag is checked again on its
         # own, in the caller's order, so the first faulty cell names the error
-        floor = 0 if exact else -self.policy.eps  # is_nonneg(x) is x >= floor
         flagged = odd | (alts < 0) | (alts >= n) | (frames < 0) | (frames > self.universe.full_frame)
         fine = probs[~flagged]
-        flagged[~flagged] = ~((fine >= floor) & (1 - fine >= floor))
+        if exact:  # 0 <= p <= 1 on Python ints: 0 <= numerator <= denominator
+            top, bottom = fraction_parts(fine)
+            flagged[~flagged] = (top < 0) | (top > bottom)
+        else:
+            floor = -self.policy.eps  # is_nonneg(x) is x >= floor
+            flagged[~flagged] = ~((fine >= floor) & (1 - fine >= floor))
         if flagged.any():
             keys = zip(alts.tolist(), frames.tolist())
             given = list(zip(keys, probs.tolist()) if parsed else self.probs.items())
@@ -444,15 +448,20 @@ class StochasticChoiceData:
         values[alts, column] = probs
         observed = np.zeros(values.shape, bool)
         observed[alts, column] = True
-        totals = np.zeros(len(domain), dtype)  # 0 + p1 + p2 ..., in row order, as sum() adds
-        np.add.at(totals, column, probs)
         complete = observed.all(axis=0)
-        near_one = self.policy.is_close(totals, self.policy.one(), scale=n)
+        if exact:  # each frame's sum is mass / whole, both Python ints
+            mass, whole = _frame_totals(values)
+            near_one, above_one = mass == whole, mass > whole
+        else:
+            totals = np.zeros(len(domain), dtype)  # 0 + p1 + p2 ..., in row order, as sum() adds
+            np.add.at(totals, column, probs)
+            near_one, above_one = self.policy.is_close(totals, self.policy.one(), scale=n), totals > 1
         # a complete frame must sum to one, a partial one may fall short of it
-        failing = ~near_one & (complete | (totals > 1))
+        failing = ~near_one & (complete | above_one)
         if failing.any():
             j = column[failing[column].argmax()]  # the failing frame whose first row comes first
-            where, total = self.universe.frame_str(int(domain[j])), number_to_str(totals[j])
+            total = Fraction(mass[j], whole[j]) if exact else totals[j]
+            where, total = self.universe.frame_str(int(domain[j])), number_to_str(total)
             if complete[j]:
                 raise DataError(f"frame sum for {where!r} is {total}, expected 1")
             raise DataError(f"observed mass {total} at partial frame {where!r} exceeds 1")
@@ -531,6 +540,22 @@ class StochasticChoiceData:
                 self.universe, *_observed_cells(self.domain, self.values, self.observed), "p"
             ),
         }
+
+
+# an array of Fractions (or ints) -> its numerators and its denominators, as
+# object arrays of Python ints
+fraction_parts = np.frompyfunc(attrgetter("numerator", "denominator"), 1, 2)
+
+
+def _frame_totals(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's exact sum of a matrix of Fractions, as ``mass / whole``.
+
+    ``whole`` is the lcm of the column's denominators and ``mass`` the sum of
+    its numerators scaled to it: Python ints, of any size.
+    """
+    top, bottom = fraction_parts(values)
+    whole = np.lcm.reduce(bottom, axis=0)
+    return (top * (whole // bottom)).sum(axis=0), whole
 
 
 class _Cells(NamedTuple):
@@ -664,7 +689,9 @@ def _parse_numbers(texts: list[str], policy: NumericPolicy) -> np.ndarray:
             return np.fromiter(map(float, texts), np.float64, len(texts))
         except ValueError:
             pass
-    return np.fromiter(map(policy.parse, texts), object if policy.exact else np.float64, len(texts))
+    # each distinct literal once, in order of first appearance: the first bad one is the earliest row's
+    number = {text: policy.parse(text) for text in dict.fromkeys(texts)}
+    return np.fromiter(map(number.__getitem__, texts), object if policy.exact else np.float64, len(texts))
 
 
 def parse_stochastic(
@@ -759,9 +786,13 @@ def _incomplete_frames(data: StochasticChoiceData) -> tuple[int, ...]:
 
 def validate(data: StochasticChoiceData) -> ValidationReport:
     """Report-only health check: sums, domain completeness, positivity."""
-    sums = sum(data.values, 0)  # row by row: alternative order from 0 (np.add.reduce may pair)
+    if data.policy.exact:
+        mass, whole = _frame_totals(data.values)
+        sums = list(map(Fraction, mass.tolist(), whole.tolist()))
+    else:
+        sums = sum(data.values, 0).tolist()  # row by row: alternative order from 0 (np.add.reduce may pair)
     return ValidationReport(
-        frame_sums=dict(zip(data.domain, sums.tolist())),
+        frame_sums=dict(zip(data.domain, sums)),
         full_domain=data.full_domain,
         contains_all_frames_up_to={k: data.contains_frames_up_to(k) for k in range(4)},
         positivity=data.positivity(),

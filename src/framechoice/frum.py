@@ -242,7 +242,7 @@ def _clamped(table: BMTable) -> list[list]:
     # the table's rows as lists with every q/y value below zero set to zero:
     # float noise in [-eps, 0) must not poison path products; exact mode is a no-op
     zero = table.policy.zero()
-    return [[v if v > 0 else zero for v in row] for row in table.values.tolist()]
+    return [[v if v > 0 else zero for v in row] for row in table.numbers().tolist()]
 
 
 def _require_accepted(data: StochasticChoiceData) -> BMTable:
@@ -428,7 +428,8 @@ def check_prop2(data: StochasticChoiceData, mu: TypeDistribution) -> Prop2Report
             elif choices[1 << b] == b and not outside & ~pair_wins[b]:
                 mass[b][frame] += w
 
-    gaps = abs(table.values - np.array(mass, table.values.dtype))
+    values = table.numbers()
+    gaps = abs(values - np.array(mass, values.dtype))
     framed = table.framed
     worst_leak, worst_framed = (max([zero, *gaps[where].tolist()]) for where in (~framed, framed))
     return Prop2Report(max(worst_leak, worst_framed), worst_leak, worst_framed)

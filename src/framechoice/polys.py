@@ -15,6 +15,8 @@ interval so partial data can still falsify.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterator
 
 import numpy as np
@@ -27,6 +29,7 @@ from .core import (
     StochasticChoiceData,
     Universe,
     columns_of,
+    fraction_parts,
     number_to_json,
     submasks,
 )
@@ -36,25 +39,43 @@ from .core import (
 class BMTable:
     """Full q/y tables for a completely observed rule, in one array.
 
-    ``values[a, F]`` is ``q(a, F)`` where ``a`` is in ``F`` and ``y(a, F)``
-    where it is not; the two tables never share a cell.  The array has dtype
-    ``float64`` in float mode and ``object`` (``Fraction`` entries) in
-    rational mode.
+    ``values[a, F] / denominator`` is ``q(a, F)`` where ``a`` is in ``F`` and
+    ``y(a, F)`` where it is not; the two tables never share a cell.  In float
+    mode ``values`` is ``float64`` and ``denominator`` is 1.  In rational mode
+    ``values`` holds ``int64`` numerators over the common ``denominator`` when
+    :func:`compute_bm` could scale the rule to them, and otherwise ``Fraction``
+    objects (dtype ``object``) over 1.  The sign of a cell is the sign of its
+    stored value.  ``q``, ``y``, ``columns`` and ``numbers`` give the table's
+    numbers (Fractions in rational mode), built only for the cells they read.
     """
 
     universe: Universe
     policy: NumericPolicy
     values: np.ndarray  # shape (n, 2^n), indexed by (alternative, frame mask)
+    denominator: int = 1
+
+    def _read(self, values: list) -> list[Number]:
+        """Stored values as the table's numbers: ``int64`` numerators become Fractions."""
+        if self.values.dtype != np.int64:
+            return values
+        number = {v: Fraction(v, self.denominator) for v in set(values)}  # tables repeat values
+        return list(map(number.__getitem__, values))
+
+    def numbers(self) -> np.ndarray:
+        """The table's numbers in the layout of ``values``; ``values`` itself unless scaled."""
+        if self.values.dtype != np.int64:
+            return self.values
+        return np.array(self._read(self.values.ravel().tolist()), object).reshape(self.values.shape)
 
     def q(self, alt: int, frame: int) -> Number:
         if not frame & (1 << alt):
             raise DataError("q(a, F) requires a in F")
-        return self.values.item(alt, frame)
+        return self._read([self.values.item(alt, frame)])[0]
 
     def y(self, alt: int, frame: int) -> Number:
         if frame & (1 << alt):
             raise DataError("y(a, F) requires a not in F")
-        return self.values.item(alt, frame)
+        return self._read([self.values.item(alt, frame)])[0]
 
     @property
     def framed(self) -> np.ndarray:
@@ -65,7 +86,7 @@ class BMTable:
     def columns(self, where: np.ndarray) -> tuple[list[int], list[int], list[Number]]:
         """Alternative, frame and value columns of the True cells of a mask, in stable order."""
         alts, frames = np.nonzero(where)
-        return alts.tolist(), frames.tolist(), self.values[where].tolist()
+        return alts.tolist(), frames.tolist(), self._read(self.values[where].tolist())
 
     def cells(self, where: np.ndarray) -> Iterator[tuple[int, int, Number]]:
         """(alternative, frame, value) at the True cells of a mask, in stable order."""
@@ -99,6 +120,21 @@ def _superset_signed_sum(row: np.ndarray, n: int, skip: int) -> None:
             view[lead + (0,)] -= view[lead + (1,)]
 
 
+def _scaled(values: np.ndarray, n: int) -> tuple[np.ndarray, int] | None:
+    """Fractions in [0, 1] as ``int64`` numerators over the lcm ``D`` of their denominators.
+
+    ``None`` once ``D.bit_length() + n > 63``: each transformed cell is a signed
+    sum of at most 2^(n-1) numerators in [0, D], which then might not fit.
+    """
+    tops, bottoms = fraction_parts(values)
+    common = 1
+    for bottom in set(bottoms.flat):
+        common = lcm(common, bottom)
+        if common.bit_length() + n > 63:
+            return None
+    return (tops * (common // bottoms)).astype(np.int64), common
+
+
 def compute_bm(data: StochasticChoiceData) -> BMTable:
     """Both polynomial tables from one lattice transform per alternative.
 
@@ -107,16 +143,19 @@ def compute_bm(data: StochasticChoiceData) -> BMTable:
     ever sums supersets that contain ``a``, which is ``q``, while an unframed
     cell, never differenced against its ``a``-framed partner, sums only the
     supersets that avoid ``a``, which is ``y``.  Cost is O(n * 2^n) per
-    alternative; the same array code runs on ``float64`` and on ``Fraction``
-    objects.
+    alternative; the same array code runs on ``float64``, on the ``int64``
+    numerators of a rational rule whose common denominator is small enough
+    (see :func:`_scaled`), and otherwise on ``Fraction`` objects.
     """
     if not data.full_domain:
         raise DataError("polynomial tables require observations for every frame")
     n = data.universe.n
-    values = data.values.copy()  # on the full domain, column F is frame F
+    # on the full domain, column F is frame F
+    scaled = _scaled(data.values, n) if data.policy.exact else None
+    values, denominator = scaled or (data.values.copy(), 1)
     for alt in range(n):
         _superset_signed_sum(values[alt], n, alt)
-    return BMTable(data.universe, data.policy, values)
+    return BMTable(data.universe, data.policy, values, denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +270,7 @@ class HasseGraph:
 
 def export_hasse(table: BMTable) -> HasseGraph:
     """Diagram with one outgoing edge per alternative at every node, frame by frame."""
-    framed, values = table.framed.T, table.values.T  # frame-major: row F holds frame F
+    framed, values = table.framed.T, table.numbers().T  # frame-major: row F holds frame F
     frames, alts = np.nonzero(framed)
     targets = frames ^ (1 << alts)
     q_edges = zip(frames.tolist(), targets.tolist(), alts.tolist(), values[framed].tolist())

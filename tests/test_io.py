@@ -25,6 +25,7 @@ from framechoice.core import (
     number_to_str,
     parse_deterministic,
     parse_stochastic,
+    validate,
 )
 from framechoice.frum import BMViolation, DualCertificate, FrumVerdict, test_frum
 from framechoice.polys import compute_bm, export_hasse
@@ -229,6 +230,122 @@ def _drop_frame(data: StochasticChoiceData, frame: int) -> StochasticChoiceData:
 
 def _canonical(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+BIG = 2**64 + 13  # a denominator above 2^63: no int64 holds it
+
+
+class TestRationalFaults:
+    """Rational mode reads each distinct literal once and checks cells and sums on integers."""
+
+    def _fault(self, body: str, partial: bool = False, head: str = "") -> str:
+        text = head + STOCHASTIC_HEAD + "\n" + body
+        ours = _outcome(parse_stochastic, text, RATIONAL, partial)
+        _same(ours, _outcome(oracle_parse_stochastic, text, RATIONAL, partial))
+        assert ours[0] == "DataError"
+        return ours[1]
+
+    def test_first_faulty_cell_is_named(self):
+        cells = [",a,1/2", ",b,1/2", "a,a,4/3", "a,b,-1/3"]
+        body = "\n".join(cells) + "\n"
+        assert self._fault(body) == "probability 4/3 for ('a', 'a') outside [0,1]"
+        body = "\n".join(cells[:2] + cells[:1:-1]) + "\n"
+        assert self._fault(body) == "probability -1/3 for ('b', 'a') outside [0,1]"
+        assert self._fault(f",a,{BIG + 1}/{BIG}\n,b,0\n") == (
+            f"probability {BIG + 1}/{BIG} for ('a', '') outside [0,1]"
+        )
+
+    def test_frame_sum_names_the_exact_total(self):
+        assert self._fault(",a,1/3\n,b,1/3\n,c,1/4\n") == "frame sum for '' is 11/12, expected 1"
+        assert self._fault("b,a,0.4\nb,b,0.5\na,a,0.6\na,b,0.5\n") == (
+            "frame sum for 'b' is 0.9, expected 1"
+        )
+        # a sum above 1 by 1/BIG, then a frame short of 1 by one part in 2^70
+        total = Fraction(1, 2) + Fraction(BIG // 2 + 1, BIG)
+        body = f",a,1/2\n,b,{BIG // 2 + 1}/{BIG}\na,a,1/2\na,b,{2**69 - 1}/{2**70}\n"
+        assert self._fault(body) == f"frame sum for '' is {number_to_str(total)}, expected 1"
+        assert number_to_str(total) == f"{2 * BIG + 1}/{2 * BIG}"
+        total = Fraction(1, 2) + Fraction(2**69 - 1, 2**70)
+        assert self._fault(body.replace(f"{BIG // 2 + 1}/{BIG}", "1/2")) == (
+            f"frame sum for 'a' is {number_to_str(total)}, expected 1"
+        )
+
+    def test_partial_frame_mass_above_one(self):
+        head = "# universe: a|b|c\n"
+        message = "observed mass 7/6 at partial frame 'a' exceeds 1"
+        assert self._fault("a,a,2/3\na,b,1/2\n", True, head) == message
+        assert self._fault("b,a,1/3\nb,b,2/3\na,a,2/3\na,b,1/2\n", True, head) == message
+        # of two failing frames, the one whose first row comes first
+        body = "a,a,2/3\nb,a,1/2\nb,b,1/3\nb,c,1/3\na,b,1/2\n"
+        assert self._fault(body, True, head) == message
+        body = f"a,a,1/{BIG}\na,b,{BIG - 1}/{BIG}\n,a,1\n"
+        data = parse_stochastic(head + STOCHASTIC_HEAD + "\n" + body, RATIONAL, allow_partial=True)
+        assert data.partial and validate(data).frame_sums == {0b000: 1, 0b001: 1}
+
+    def test_repeated_bad_literal_is_reported_at_its_first_row(self):
+        # 'x' comes first and recurs after 'y'; 'y' alone would be named otherwise
+        assert self._fault(",a,x\n,b,y\na,a,x\n") == "bad number literal 'x'"
+        assert self._fault(",a,0.5\n,b,y\na,a,x\na,b,y\n") == "bad number literal 'y'"
+        # before a later duplicate row, after an earlier one
+        assert self._fault(",a,x\n,a,0.5\n,b,x\n") == "bad number literal 'x'"
+        assert self._fault(",a,0.5\n,a,x\n,b,x\n") == "duplicate row for ('a', '')"
+        assert self._fault(",a,0.5\n,b,0.5\n,a,0.5\na,a,x\n") == "duplicate row for ('a', '')"
+
+    def test_each_distinct_literal_parses_once(self, monkeypatch):
+        seen = []
+        parse = NumericPolicy.parse
+        monkeypatch.setattr(
+            NumericPolicy, "parse", lambda self, text: seen.append(text) or parse(self, text)
+        )
+        uni = Universe(("a", "b"))
+        rows = [
+            f"{uni.frame_str(f)},{uni.names[a]},{['1/4', '3/4'][(f + a) % 2]}\n"
+            for f in range(4)
+            for a in range(2)
+        ]
+        data = parse_stochastic(STOCHASTIC_HEAD + "\n" + "".join(rows), RATIONAL)
+        assert seen == ["1/4", "3/4"]
+        assert data.rho(0, 0) == data.rho(1, 0b11) == Fraction(1, 4)
+
+    def test_denominators_above_int64(self):
+        uni = Universe(("a", "b"))
+        probs = {}
+        for frame in range(4):
+            share = Fraction(frame + 1, BIG)
+            probs[(0, frame)], probs[(1, frame)] = share, 1 - share
+        text = StochasticChoiceData(uni, probs, RATIONAL).to_csv()
+        assert f"/{BIG}" in text
+        data = parse_stochastic(text, RATIONAL)
+        assert dict(data.probs) == probs
+        assert validate(data).frame_sums == {frame: 1 for frame in range(4)}
+        table = compute_bm(data)
+        assert table.values.dtype == object and table.denominator == 1
+        assert table.y(0, 0) == probs[(0, 0)] - probs[(0, 0b10)]
+
+    def test_validate_sums_as_fractions_add(self):
+        rng = random.Random(22)
+        for n in (1, 2, 3):
+            uni = Universe(tuple("abc"[:n]))
+            probs = {}
+            for frame in range(1 << n):
+                alts = [alt for alt in range(n) if rng.random() < 0.7]
+                for alt in alts:
+                    bottom = rng.choice([3, 7, 2**40, BIG])
+                    probs[(alt, frame)] = Fraction(rng.randint(0, bottom // n), bottom)
+                if len(alts) == n:  # a complete frame sums to 1
+                    probs[(n - 1, frame)] += 1 - sum(probs[(alt, frame)] for alt in alts)
+            data = StochasticChoiceData(uni, probs, RATIONAL)
+            report = validate(data)
+            expected = {
+                f: sum((p for (a, g), p in probs.items() if g == f), Fraction(0)) for f in data.domain
+            }
+            assert report.frame_sums == expected
+            assert all(type(total) is Fraction for total in report.frame_sums.values())
+            assert dumps_json(report.to_json_dict(uni)) == dumps_json(
+                {**report.to_json_dict(uni), "frame_sums": {
+                    uni.frame_str(f): number_to_str(t) for f, t in sorted(expected.items())
+                }}
+            )
 
 
 class TestWriters:

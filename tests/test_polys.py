@@ -3,18 +3,25 @@
 import random
 import re
 from fractions import Fraction
+from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from framechoice import polys
 from framechoice.core import (
     DataError,
     FLOAT64,
     RATIONAL,
     StochasticChoiceData,
     Universe,
+    dumps_json,
     supersets,
 )
+from framechoice.fluce import FLuceParams, forward_fluce
+from framechoice.frum import TypeDistribution, forward_frum, test_frum
+from framechoice.detfum import enumerate_types
 from framechoice.polys import (
     compute_bm,
     export_hasse,
@@ -103,6 +110,113 @@ def test_reconstruction_inverts_transform(seed, n):
 @pytest.mark.parametrize("n,seed", [(5, 11), (5, 12), (6, 13), (6, 14)])
 def test_reconstruction_larger_universes(n, seed):
     _assert_reconstruction(random_rho(default_universe(n), random.Random(seed), RATIONAL))
+
+
+def _split_rule(n: int, rng: random.Random, bottoms: list[int]) -> StochasticChoiceData:
+    """Each frame's unit cut at random points over the denominators of ``bottoms`` in turn."""
+    probs = {}
+    for frame in range(1 << n):
+        bottom = bottoms[frame % len(bottoms)]
+        cuts = sorted(rng.randint(0, bottom) for _ in range(n - 1))
+        for alt, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, bottom])):
+            probs[(alt, frame)] = Fraction(hi - lo, bottom)
+    return StochasticChoiceData(default_universe(n), probs, RATIONAL)
+
+
+def _alternating_rule(n: int, bottom: int) -> StochasticChoiceData:
+    """Nearly all mass on a at frames of even size and on b at odd ones.
+
+    a's superset sum at the empty frame then adds its 2^(n-2) terms of even
+    size, each nearly ``bottom``, and subtracts only ``far`` ones: as large as
+    a signed sum of 2^(n-1) values in [0, ``bottom``] can be.
+    """
+    near, far = Fraction(bottom - 1, bottom), Fraction(1, bottom)
+    probs = {}
+    for frame in range(1 << n):
+        even = bin(frame).count("1") % 2 == 0
+        probs[(0, frame)], probs[(1, frame)] = (near, far) if even else (far, near)
+        for alt in range(2, n):
+            probs[(alt, frame)] = Fraction(0)
+    return StochasticChoiceData(default_universe(n), probs, RATIONAL)
+
+
+def _fluce_rule(n: int, rng: random.Random) -> StochasticChoiceData:
+    """A rule like the benchmark's: integer bases, power-of-two boosts, a large common denominator."""
+    u = tuple(Fraction(rng.randint(1, 9)) for _ in range(n))
+    v = tuple(Fraction(1 << k) for k in rng.sample(range(n), n))
+    return forward_fluce(FLuceParams(default_universe(n), u, v), range(1 << n), RATIONAL)
+
+
+def _mixture_rule(n: int, rng: random.Random) -> StochasticChoiceData:
+    """An accepted rule: a mixture of 20 types with weights k / 1000."""
+    types = rng.sample(list(enumerate_types(default_universe(n))), 20)
+    cuts = sorted(rng.sample(range(1, 1000), 19))
+    weights = {t: Fraction(hi - lo, 1000) for t, lo, hi in zip(types, [0, *cuts], [*cuts, 1000])}
+    return forward_frum(TypeDistribution(default_universe(n), weights, RATIONAL), range(1 << n))
+
+
+def _rules():
+    for n in range(2, 9):
+        rng = random.Random(900 + n)
+        yield f"small-{n}", _split_rule(n, rng, list(range(1, 13)))
+        yield f"at-bound-{n}", _split_rule(n, rng, [2 ** (62 - n), 2 ** (61 - n)])
+        yield f"over-bound-{n}", _split_rule(n, rng, [3 * 2 ** (62 - n)])
+        yield f"large-primes-{n}", _split_rule(n, rng, [2**31 - 1, 2**61 - 1, 1_000_003])
+        yield f"alternating-{n}", _alternating_rule(n, 2 ** (62 - n))
+        yield f"alternating-over-{n}", _alternating_rule(n, 2 ** (63 - n))
+        yield f"alternating-far-{n}", _alternating_rule(n, 2 ** (66 - n))  # would overflow int64
+        yield f"fluce-{n}", _fluce_rule(n, rng)
+    for n in (3, 4):  # enumerate_types grows as n!
+        yield f"mixture-{n}", _mixture_rule(n, random.Random(950 + n))
+
+
+RULES = dict(_rules())
+
+
+class TestIntegerNumerators:
+    """The int64 transform against the Fraction one and inclusion-exclusion."""
+
+    @pytest.mark.parametrize("name", list(RULES))
+    def test_same_table_verdict_and_report_as_fractions(self, name, monkeypatch):
+        data = RULES[name]
+        n = data.universe.n
+        common = lcm(*(p.denominator for p in data.probs.values()))
+        scaled = common.bit_length() + n <= 63
+        table = compute_bm(data)
+        assert (table.values.dtype == np.int64) == scaled
+        assert table.denominator == (common if scaled else 1)
+        verdict = test_frum(data, with_witness=n <= 4)
+        with monkeypatch.context() as patch:
+            patch.setattr(polys, "_scaled", lambda values, n: None)
+            fractions = compute_bm(data)
+            fraction_verdict = test_frum(data, with_witness=n <= 4)
+        assert fractions.values.dtype == object and fractions.denominator == 1
+        numbers = table.numbers().tolist()
+        assert numbers == fractions.values.tolist()
+        assert all(type(v) is Fraction for row in numbers for v in row)
+        oracle = naive_bm(data)
+        assert numbers == [[oracle[a, f] for f in range(1 << n)] for a in range(n)]
+        assert verdict == fraction_verdict
+        assert dumps_json(verdict.to_json_dict(data.universe)) == dumps_json(
+            fraction_verdict.to_json_dict(data.universe)
+        )
+        assert dumps_json(table.to_json_dict()) == dumps_json(fractions.to_json_dict())
+        assert dumps_json(export_hasse(table).to_json_dict()) == dumps_json(
+            export_hasse(fractions).to_json_dict()
+        )
+        assert table.q(n - 1, 1 << n - 1) == fractions.q(n - 1, 1 << n - 1)
+        assert table.y(0, 0) == fractions.y(0, 0)
+
+    def test_rules_cover_both_sides_of_the_bound_and_both_verdicts(self):
+        tables = {name: compute_bm(data) for name, data in RULES.items()}
+        scaled = {name for name, table in tables.items() if table.values.dtype == np.int64}
+        assert {"small-8", "at-bound-8", "alternating-8", "mixture-4", "fluce-4"} <= scaled
+        assert not {"over-bound-8", "alternating-over-8", "large-primes-3", "fluce-5"} & scaled
+        accepted = {name for name, data in RULES.items() if test_frum(data).accepted}
+        assert {"fluce-8", "mixture-4"} <= accepted  # on either side of the bound
+        assert not {"small-8", "large-primes-8"} & accepted
+        # the alternating rule's superset sum at the empty frame, about 2^6 · 2^54
+        assert int(tables["alternating-8"].values[0, 0]) > 2**59
 
 
 class TestInterim:
