@@ -269,7 +269,13 @@ def _number_texts(values: Sequence) -> Iterable[str]:
     if kinds == {float} and all(map(isfinite, values)):
         return map(float.__repr__, values)
     if kinds == {Fraction}:  # digits, sign, point and slash: nothing to escape
-        return ('"' + number_to_str(x) + '"' for x in values)
+        # each distinct object once (a table shares one Fraction per distinct value),
+        # keyed by identity: hashing a Fraction can cost more than rendering it
+        distinct = dict(zip(map(id, values), values))
+        if len(distinct) == len(values):  # nothing repeats: render as the records consume them
+            return ('"' + number_to_str(x) + '"' for x in values)
+        once = {key: '"' + number_to_str(x) + '"' for key, x in distinct.items()}
+        return map(once.__getitem__, map(id, values))
     return (json.dumps(number_to_json(x)) for x in values)
 
 

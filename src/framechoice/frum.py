@@ -32,7 +32,7 @@ from .core import (
     number_to_json,
 )
 from .detfum import ChoiceType, enumerate_types
-from .polys import BMTable, compute_bm, signed_interval_sum
+from .polys import BMTable, compute_bm, nonneg_certified, signed_interval_sum
 from .rational_lp import solve_rational_lp
 
 MAX_WITNESS_N = 6  # path count beyond this makes automatic recovery unhelpful
@@ -218,12 +218,14 @@ def test_frum(data: StochasticChoiceData, with_witness: bool | None = None) -> F
     """
     if not data.full_domain:
         return FrumVerdict(False, False, interim_violations(data), None)
+    if with_witness is None:
+        with_witness = data.universe.n <= MAX_WITNESS_N
+    if not with_witness and nonneg_certified(data):  # signs alone, without Fractions
+        return FrumVerdict(True, True, (), None)
     table = compute_bm(data)
     violations = _sign_violations(table)
     if violations:
         return FrumVerdict(False, True, violations, None)
-    if with_witness is None:
-        with_witness = data.universe.n <= MAX_WITNESS_N
     witness = None
     if with_witness:
         witness = TypeDistribution(data.universe, _recover_paths(table), data.policy)

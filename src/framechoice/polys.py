@@ -120,19 +120,51 @@ def _superset_signed_sum(row: np.ndarray, n: int, skip: int) -> None:
             view[lead + (0,)] -= view[lead + (1,)]
 
 
-def _scaled(values: np.ndarray, n: int) -> tuple[np.ndarray, int] | None:
-    """Fractions in [0, 1] as ``int64`` numerators over the lcm ``D`` of their denominators.
+def _common_denominator(bottoms: np.ndarray, n: int) -> int | None:
+    """The lcm ``D`` of some denominators; ``None`` once ``D.bit_length() + n > 63``.
 
-    ``None`` once ``D.bit_length() + n > 63``: each transformed cell is a signed
-    sum of at most 2^(n-1) numerators in [0, D], which then might not fit.
+    Each transformed cell is a signed sum of at most 2^(n-1) numerators in
+    [0, D], which then might not fit ``int64``.
     """
-    tops, bottoms = fraction_parts(values)
     common = 1
     for bottom in set(bottoms.flat):
         common = lcm(common, bottom)
         if common.bit_length() + n > 63:
             return None
-    return (tops * (common // bottoms)).astype(np.int64), common
+    return common
+
+
+def _scaled(values: np.ndarray, n: int) -> tuple[np.ndarray, int] | None:
+    """Fractions in [0, 1] as ``int64`` numerators over their common denominator, if it fits."""
+    tops, bottoms = fraction_parts(values)
+    common = _common_denominator(bottoms, n)
+    return None if common is None else ((tops * (common // bottoms)).astype(np.int64), common)
+
+
+CERTIFICATE_BITS = 128  # fractional bits of the fixed-point sign certificate
+
+
+def nonneg_certified(data: StochasticChoiceData) -> bool:
+    """True only if every q/y cell of a full-domain rational rule is provably positive.
+
+    False at once for float rules and where :func:`_scaled` fits: those
+    transforms are exact and fast.  Otherwise each ``rho`` becomes
+    ``floor(rho * 2^CERTIFICATE_BITS)`` and the rows take the usual transform;
+    a cell ``V`` summing ``terms`` floors is within ``terms`` of its exact value
+    so scaled, and ``V >= terms`` proves that value positive.  False decides nothing.
+    """
+    n = data.universe.n
+    if not (data.policy.exact and data.full_domain):
+        return False
+    tops, bottoms = fraction_parts(data.values)
+    if _common_denominator(bottoms, n) is not None:
+        return False
+    fixed = (tops << CERTIFICATE_BITS) // bottoms
+    for alt in range(n):
+        _superset_signed_sum(fixed[alt], n, alt)
+    framed = (np.arange(1 << n) >> np.arange(n)[:, None]) & 1
+    terms = 1 << (n - 1 - framed.sum(axis=0) + framed)  # 2^(n-|F|) framed, 2^(n-1-|F|) not
+    return bool((fixed >= terms).all())
 
 
 def compute_bm(data: StochasticChoiceData) -> BMTable:

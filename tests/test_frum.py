@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -11,6 +12,7 @@ from framechoice.core import (
     RATIONAL,
     StochasticChoiceData,
     Universe,
+    dumps_json,
     parse_stochastic,
 )
 from framechoice import frum
@@ -27,12 +29,12 @@ from framechoice.frum import (
     recover_constructive,
     test_frum,
 )
-from framechoice.fluce import forward_fluce
-from framechoice.polys import compute_bm
+from framechoice.fluce import FLuceParams, forward_fluce
+from framechoice.polys import compute_bm, nonneg_certified
 from framechoice.sim import default_universe, perturb, sample_fluce, sample_mu, SimConfig
 
 from conftest import AB, A, B, EMPTY, TABLE3_UNIVERSE, random_rho, table3_data
-from oracles import branch_weight
+from oracles import branch_weight, naive_bm
 
 # Table-4 type order c1..c6
 C1 = ChoiceType((0,), 1)
@@ -568,3 +570,146 @@ class TestInterimScan:
     def test_scan_clean_on_consistent_data(self):
         data = table3_data(Fraction(2, 5), Fraction(3, 5))
         assert interim_violations(data) == ()
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point sign certificate
+# ---------------------------------------------------------------------------
+
+PRIME = 2**89 - 1  # a Mersenne prime: weights over it have a common denominator past int64
+
+
+def boosted_rule(n: int, seed: int, policy=RATIONAL) -> StochasticChoiceData:
+    """A FLuce rule like the benchmark's: bases 1-9 and boosts 2^k, distinct at every frame."""
+    rng = random.Random(seed)
+    u = tuple(Fraction(rng.randint(1, 9)) for _ in range(n))
+    v = tuple(Fraction(1 << k) for k in rng.sample(range(n), n))
+    return forward_fluce(FLuceParams(default_universe(n), u, v), range(1 << n), policy)
+
+
+def simulated_rule(n: int, seed: int) -> StochasticChoiceData:
+    """``simulate --kind fluce --numeric rational``: boosts are 0 a quarter of the time."""
+    return forward_fluce(sample_fluce(SimConfig(seed=seed, n=n)), range(1 << n), RATIONAL)
+
+
+def frame_free_rule(n: int, seed: int, moved: Fraction = Fraction(0)) -> StochasticChoiceData:
+    """An accepted rule that ignores the frame, so every cell of more than one term is 0.
+
+    ``moved`` mass goes from the second alternative to the first in the full
+    frame, which makes q(a, F) = (-1)^{n-|F|} * moved for the first.
+    """
+    rng = random.Random(seed)
+    cuts = sorted(rng.randrange(1, PRIME) for _ in range(n - 1))
+    weights = [Fraction(hi - lo, PRIME) for lo, hi in zip([0, *cuts], [*cuts, PRIME])]
+    probs = {(a, f): w for a, w in enumerate(weights) for f in range(1 << n)}
+    full = (1 << n) - 1
+    probs[(0, full)] += moved
+    probs[(1, full)] -= moved
+    return StochasticChoiceData(default_universe(n), probs, RATIONAL)
+
+
+TINY = Fraction(1, 2**200)  # far below the certificate's 2^-128 resolution
+
+CERTIFIED_RULES = {
+    **{f"boosted-{n}-{seed}": boosted_rule(n, seed) for n in range(2, 10) for seed in (1, 2)},
+    **{f"simulated-{n}-{seed}": simulated_rule(n, seed) for n in (3, 5, 8) for seed in (0, 1)},
+    **{f"frame-free-{n}": frame_free_rule(n, n) for n in (3, 6)},
+    **{f"tiny-move-{n}": frame_free_rule(n, n, TINY) for n in (3, 6)},
+}
+
+
+def counted_compute_bm(monkeypatch) -> list:
+    calls = []
+
+    def counting(data):
+        calls.append(data)
+        return compute_bm(data)
+
+    monkeypatch.setattr(frum, "compute_bm", counting)
+    return calls
+
+
+class TestSignCertificate:
+    """Sign test without a witness: the certificate against Fractions and inclusion-exclusion."""
+
+    @pytest.mark.parametrize("name", list(CERTIFIED_RULES))
+    def test_same_verdict_and_report_as_fractions_and_the_oracle(self, name, monkeypatch):
+        data = CERTIFIED_RULES[name]
+        n = data.universe.n
+        verdict = test_frum(data, with_witness=False)
+        with monkeypatch.context() as patch:
+            patch.setattr(frum, "nonneg_certified", lambda data: False)
+            fractions = test_frum(data, with_witness=False)
+        oracle = naive_bm(data)
+        expected = [
+            (kind, a, f, oracle[a, f])
+            for kind, framed in (("q", True), ("y", False))
+            for a in range(n)
+            for f in range(1 << n)
+            if bool(f >> a & 1) == framed and oracle[a, f] < 0
+        ]
+        assert verdict == fractions
+        assert verdict.accepted == (not expected) and verdict.witness is None
+        assert [(v.kind, v.alternative, v.frame, v.value) for v in verdict.violations] == expected
+        assert all(type(v.value) is Fraction for v in verdict.violations)
+        assert dumps_json(verdict.to_json_dict(data.universe)) == dumps_json(
+            fractions.to_json_dict(data.universe)
+        )
+
+    def test_rules_cover_both_sides_of_the_bound_and_every_path(self):
+        def fits_int64(data):
+            common = lcm(*(p.denominator for p in data.probs.values()))
+            return common.bit_length() + data.universe.n <= 63
+
+        rules = CERTIFIED_RULES.items()
+        fits = {name for name, data in rules if fits_int64(data)}
+        certified = {name for name, data in rules if nonneg_certified(data)}
+        accepted = {name for name, data in rules if test_frum(data, with_witness=False).accepted}
+        boosted = {name for name in CERTIFIED_RULES if name.startswith("boosted")}
+        assert {"boosted-2-1", "boosted-4-2"} <= fits and "boosted-5-1" not in fits
+        assert fits <= boosted
+        # every boosted cell is positive; two simulated rules have no zero boost
+        assert certified == boosted - fits | {"simulated-3-1", "simulated-5-1"}
+        assert accepted == set(CERTIFIED_RULES) - {"tiny-move-3", "tiny-move-6"}
+        for seed in (0, 1):  # most cells exactly 0
+            zeros = sum(v == 0 for v in naive_bm(CERTIFIED_RULES[f"simulated-8-{seed}"]).values())
+            assert zeros > 1500
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_mass_below_the_resolution_is_a_violation(self, n):
+        verdict = test_frum(frame_free_rule(n, n, TINY), with_witness=False)
+        # below the full frame, q(a, F) is (-1)^{n-|F|} * TINY for the first
+        # alternative and its negative for the second; every other cell is >= 0
+        odd = {f: (n - bin(f).count("1")) % 2 for f in range((1 << n) - 1)}
+        expected = [("q", 0, f, -TINY) for f in odd if f & 1 and odd[f]]
+        expected += [("q", 1, f, -TINY) for f in odd if f & 2 and not odd[f]]
+        assert not verdict.accepted
+        assert [(v.kind, v.alternative, v.frame, v.value) for v in verdict.violations] == expected
+
+    def test_certified_rule_builds_no_table(self, monkeypatch):
+        calls = counted_compute_bm(monkeypatch)
+        assert test_frum(boosted_rule(8, 1)) == frum.FrumVerdict(True, True, (), None)
+        assert calls == []
+
+    def test_witness_builds_the_table_once(self, monkeypatch):
+        data = boosted_rule(5, 1)
+        assert nonneg_certified(data)
+        calls = counted_compute_bm(monkeypatch)
+        verdict = test_frum(data, with_witness=True)
+        assert verdict.accepted and verdict.witness is not None and len(calls) == 1
+        assert verdict == test_frum(data)  # n <= 6: a witness by default
+
+    def test_rejected_rule_builds_the_table_once(self, monkeypatch):
+        calls = counted_compute_bm(monkeypatch)
+        assert not test_frum(frame_free_rule(6, 6, TINY), with_witness=False).accepted
+        assert len(calls) == 1
+
+    def test_float_rule_takes_the_float_table(self, monkeypatch):
+        data = boosted_rule(8, 1, FLOAT64)
+        assert not nonneg_certified(data)
+        calls = counted_compute_bm(monkeypatch)
+        assert test_frum(data).accepted and len(calls) == 1
+
+    def test_partial_domain_and_small_denominators_are_not_certified(self, intro_partial_n3):
+        assert not nonneg_certified(intro_partial_n3)
+        assert not nonneg_certified(boosted_rule(4, 1))  # positive, but on the int64 path
