@@ -145,7 +145,8 @@ class Universe:
     """Ordered set of distinct alternative labels.
 
     The grand set of alternatives stays fixed; only the framed subset varies.
-    Labels may not contain the separator characters ``|`` or ``,``.
+    Labels may not contain ``|`` or ``,``, start with ``#``, carry blanks at
+    either end or break a line: CSV would not read them back.
     """
 
     names: tuple[str, ...]
@@ -158,7 +159,8 @@ class Universe:
         if len(set(names)) != len(names):
             raise DataError("duplicate alternative labels")
         for name in names:
-            if not name or any(ch in name for ch in _RESERVED):
+            reads_back = name.splitlines() == [name] == [name.strip()] and name[:1] != "#"
+            if not reads_back or any(ch in name for ch in _RESERVED):
                 raise DataError(f"bad alternative label {name!r}")
         # label lookup and the frame_str memo; not dataclass fields, so
         # equality, hash and repr still see only ``names``

@@ -373,11 +373,11 @@ def forward_frum(mu: TypeDistribution, domain: Iterable[int]) -> StochasticChoic
 class Prop2Report:
     """How closely a mixture matches the identified aggregates.
 
-    For any two mixtures representing the same data, the mass of types that
-    pick ``b`` at ``F`` while picking every non-framed alternative from its
-    own singleton equals ``y(b, F)``; the framed analogue over doubleton
-    frames equals ``q(b, F + b)``.  Both discrepancies are zero for any true
-    representation.
+    Only a type whose lattice path passes a cell meets that cell's side
+    conditions (a pick from every non-framed alternative's singleton for
+    ``y``, a loss to it in every doubleton for ``q``), so for any mixture
+    representing the data each cell equals the mass of the types through it:
+    both discrepancies are zero for any true representation.
     """
 
     max_discrepancy: Number
@@ -393,42 +393,27 @@ class Prop2Report:
 
 
 def check_prop2(data: StochasticChoiceData, mu: TypeDistribution) -> Prop2Report:
-    """Verify both identification clauses for every (alternative, frame)."""
+    """Verify both identification clauses for every (alternative, frame).
+
+    As ``c({x}) = x`` exactly for ``x`` in the priority ``P``, and
+    ``c({x, P[k]}) = x`` exactly for ``x`` before ``P[k]`` in ``P``, a type
+    meets the side conditions on its path's ``|P| + 1`` cells and nowhere
+    else: ``q(P[k], X - {P[0..k-1]})`` for each ``k``, then
+    ``y(default, X - P)``.  Each weight is added to those cells in
+    ``mu.weights`` order: O(|support|·n) plus one lattice transform.
+    """
     if mu.universe != data.universe:
         raise DataError("type distribution and data must share a universe")
     table = compute_bm(data)
     n = data.universe.n
-    size = 1 << n
-    full = size - 1
     zero = data.policy.zero()
-
-    # one pass over the support: each type contributes its weight to the
-    # (chosen alternative, frame) cells whose side conditions it meets, laid
-    # out like the table (y clause where b is not in F, q clause where it is)
-    mass = [[zero] * size for _ in range(n)]
-    for ctype, w in mu.weights.items():
-        if not w > 0:
-            continue
-        choices = [ctype.choose(f) for f in range(size)]
-        own_singleton = 0  # x with c({x}) = x
-        for x in range(n):
-            if choices[1 << x] == x:
-                own_singleton |= 1 << x
-        pair_wins = []  # per b: x (!= b) with c({x, b}) = x
-        for b in range(n):
-            mask = 0
-            for x in range(n):
-                if x != b and choices[(1 << x) | (1 << b)] == x:
-                    mask |= 1 << x
-            pair_wins.append(mask)
-        for frame in range(size):
-            b = choices[frame]
-            outside = full & ~frame
-            if not frame & (1 << b):
-                if not outside & ~own_singleton:
-                    mass[b][frame] += w
-            elif choices[1 << b] == b and not outside & ~pair_wins[b]:
-                mass[b][frame] += w
+    mass = [[zero] * (1 << n) for _ in range(n)]  # laid out like the table
+    for ctype, w in mu.weights.items():  # a zero weight adds nothing, in either mode
+        node = (1 << n) - 1
+        for x in ctype.priority:  # framed pick-offs down the lattice
+            mass[x][node] += w
+            node &= ~(1 << x)
+        mass[ctype.default][node] += w  # then the leak
 
     values = table.numbers()
     gaps = abs(values - np.array(mass, values.dtype))

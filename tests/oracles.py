@@ -5,6 +5,9 @@ Each is written straight from a definition, reads only ``data.probs``,
 returns plain values, so it stays independent of how the program lays out its
 tables.  The CSV readers and the record writers at the end do the same work
 one row, cell or record at a time, through ``csv`` and one dict per record.
+``oracle_prop2`` reads the identification clauses by simulating every type's
+choice at every frame and doubleton, the definition that ``check_prop2``'s
+lattice-path reading is checked against.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import io
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+
+import numpy as np
 
 from framechoice.core import (
     DataError,
@@ -26,6 +31,8 @@ from framechoice.core import (
     submasks,
 )
 from framechoice.detfum import enumerate_types
+from framechoice.frum import Prop2Report
+from framechoice.polys import compute_bm
 
 
 def naive_bm(data) -> dict[tuple[int, int], object]:
@@ -110,6 +117,57 @@ def flow_residuals(table) -> dict[int, object]:
                     inflow += table.q(alt, frame | (1 << alt))
         out[frame] = total - inflow
     return out
+
+
+def oracle_prop2(data, mu):
+    """``check_prop2`` by simulating each type's choice at every frame and doubleton.
+
+    The mass of types that pick ``b`` at ``F`` while picking every non-framed
+    alternative from its own singleton goes to ``y(b, F)``; the mass of those
+    that pick ``b`` at ``F``, and from its singleton, while every non-framed
+    ``x`` beats ``b`` in ``{x, b}``, goes to ``q(b, F)``.
+    """
+    if mu.universe != data.universe:
+        raise DataError("type distribution and data must share a universe")
+    table = compute_bm(data)
+    n = data.universe.n
+    size = 1 << n
+    full = size - 1
+    zero = data.policy.zero()
+
+    # one pass over the support: each type contributes its weight to the
+    # (chosen alternative, frame) cells whose side conditions it meets, laid
+    # out like the table (y clause where b is not in F, q clause where it is)
+    mass = [[zero] * size for _ in range(n)]
+    for ctype, w in mu.weights.items():
+        if not w > 0:
+            continue
+        choices = [ctype.choose(f) for f in range(size)]
+        own_singleton = 0  # x with c({x}) = x
+        for x in range(n):
+            if choices[1 << x] == x:
+                own_singleton |= 1 << x
+        pair_wins = []  # per b: x (!= b) with c({x, b}) = x
+        for b in range(n):
+            mask = 0
+            for x in range(n):
+                if x != b and choices[(1 << x) | (1 << b)] == x:
+                    mask |= 1 << x
+            pair_wins.append(mask)
+        for frame in range(size):
+            b = choices[frame]
+            outside = full & ~frame
+            if not frame & (1 << b):
+                if not outside & ~own_singleton:
+                    mass[b][frame] += w
+            elif choices[1 << b] == b and not outside & ~pair_wins[b]:
+                mass[b][frame] += w
+
+    values = table.numbers()
+    gaps = abs(values - np.array(mass, values.dtype))
+    framed = table.framed
+    worst_leak, worst_framed = (max([zero, *gaps[where].tolist()]) for where in (~framed, framed))
+    return Prop2Report(max(worst_leak, worst_framed), worst_leak, worst_framed)
 
 
 def first_consistent_type(data):

@@ -107,6 +107,16 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err == f"error: bad number literal {literal!r}\n", literal
 
+    def test_label_that_reads_as_a_comment_is_usage_error(self, tmp_path, capsys):
+        # its frames' rows start with "#": read back, half the rows would be comments
+        rows = [(frame, alt) for frame in ("", "a", "#b", "#b|a") for alt in ("a", "#b")]
+        body = "".join(f"{frame},{alt},{0.25 if alt == 'a' else 0.75}\n" for frame, alt in rows)
+        path = tmp_path / "hash.csv"
+        path.write_text("# universe: a|#b\nframe,alternative,probability\n" + body)
+        for command in ("validate", "test-frum"):
+            err = run_error([command, "--in", str(path)], capsys)
+            assert err == "error: bad alternative label '#b'\n", command
+
     def test_negative_epsilon_is_usage_error(self, capsys):
         # a NaN, infinite or huge tolerance is as unusable as a negative one
         path = str(DATA_DIR / "intro_full.csv")

@@ -44,12 +44,11 @@ class TestUniverse:
             Universe(("a", "a"))
 
     def test_reserved_characters_rejected(self):
-        with pytest.raises(DataError):
-            Universe(("a|b",))
-        with pytest.raises(DataError):
-            Universe(("a,b",))
-        with pytest.raises(DataError):
-            Universe(("",))
+        # separators; a CSV comment; what strip would change; what splitlines would split
+        for label in ("a|b", "a,b", "", "#b", " a", "a ", "\t", "x\ny", "x\ry", "x\x85y", "x\n"):
+            with pytest.raises(DataError, match="^bad alternative label "):
+                Universe((label,))
+        assert Universe(("a#b", "a b")).names == ("a#b", "a b")  # inside a label both read back
 
     def test_size_cap(self):
         Universe(tuple(f"x{i}" for i in range(20)))

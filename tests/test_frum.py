@@ -13,10 +13,11 @@ from framechoice.core import (
     StochasticChoiceData,
     Universe,
     dumps_json,
+    fraction_parts,
     parse_stochastic,
 )
-from framechoice import frum
-from framechoice.detfum import ChoiceType
+from framechoice import frum, polys
+from framechoice.detfum import ChoiceType, enumerate_types
 from framechoice.frum import (
     DualCertificate,
     FrumRejectionError,
@@ -34,7 +35,7 @@ from framechoice.polys import compute_bm, nonneg_certified
 from framechoice.sim import default_universe, perturb, sample_fluce, sample_mu, SimConfig
 
 from conftest import AB, A, B, EMPTY, TABLE3_UNIVERSE, random_rho, table3_data
-from oracles import branch_weight, naive_bm
+from oracles import branch_weight, naive_bm, oracle_prop2
 
 # Table-4 type order c1..c6
 C1 = ChoiceType((0,), 1)
@@ -43,6 +44,13 @@ C3 = ChoiceType((0, 1), 1)
 C4 = ChoiceType((1, 0), 2)
 C5 = ChoiceType((0, 1), 2)
 C6 = ChoiceType((1, 0), 1)
+
+
+def exact_mixture(mu: TypeDistribution) -> TypeDistribution:
+    """A float mixture's weights as Fractions, renormalized to sum to exactly 1."""
+    exact = {t: Fraction(w) for t, w in mu.weights.items()}
+    total = sum(exact.values())
+    return TypeDistribution(mu.universe, {t: w / total for t, w in exact.items()}, RATIONAL)
 
 
 class TestVerdicts:
@@ -331,6 +339,45 @@ class TestProp2:
             with pytest.raises(DataError, match="^type distribution and data must share a universe$"):
                 check_prop2(data, other)
         assert check_prop2(data, mu).max_discrepancy <= 8 * data.policy.eps
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_path_cells_equal_the_clause_simulation(self, n):
+        # representing, non-representing and zero-padded mixtures, float and
+        # exact: the report must be the simulation's, bit for bit
+        padding = enumerate_types(default_universe(n))[::3]
+        sparsity = 0.1 if n == 6 else 0.6
+        for seed in range(2):
+            for policy in (FLOAT64, RATIONAL):
+                mixtures = []
+                for offset in (0, 50):
+                    mu = sample_mu(SimConfig(seed=900 + 100 * n + seed + offset, n=n, sparsity=sparsity))
+                    mixtures.append(exact_mixture(mu) if policy.exact else mu)
+                zero = policy.zero()
+                padded = {t: zero for t in padding} | mixtures[1].weights
+                mixtures.append(TypeDistribution(mixtures[1].universe, padded, policy))
+                data = forward_frum(mixtures[0], range(1 << n))
+                rule = random_rho(data.universe, random.Random(seed + 10 * n), policy)
+                reports = []
+                for on in (data, rule):
+                    for mu in mixtures:
+                        report = check_prop2(on, mu)
+                        assert report == oracle_prop2(on, mu), (n, seed, policy.mode)
+                        reports.append(report)
+                assert reports[0].max_discrepancy <= 8 * policy.eps
+                if policy.exact:
+                    assert reports[0].max_discrepancy == 0
+                if n > 1:  # another mixture, or an arbitrary rule, is off somewhere
+                    assert all(r.max_discrepancy > 8 * policy.eps for r in reports[1:])
+
+    def test_one_lattice_transform_per_check(self, monkeypatch):
+        calls = counted_compute_bm(monkeypatch)
+        for policy in (FLOAT64, RATIONAL):
+            calls.clear()
+            mu = sample_mu(SimConfig(seed=5, n=4, sparsity=0.3))
+            mu = exact_mixture(mu) if policy.exact else mu
+            data = forward_frum(mu, range(16))
+            check_prop2(data, mu)
+            assert calls == [data]
 
 
 class TestFeasibility:
@@ -713,3 +760,22 @@ class TestSignCertificate:
     def test_partial_domain_and_small_denominators_are_not_certified(self, intro_partial_n3):
         assert not nonneg_certified(intro_partial_n3)
         assert not nonneg_certified(boosted_rule(4, 1))  # positive, but on the int64 path
+
+    def test_each_test_reads_the_fraction_parts_once(self, monkeypatch):
+        calls = []
+
+        def counting(values):
+            calls.append(values.shape)
+            return fraction_parts(values)
+
+        monkeypatch.setattr(polys, "fraction_parts", counting)
+        # under the int64 bound; certified past it; past it and rejected
+        for data, accepted in (
+            (boosted_rule(4, 1), True),
+            (boosted_rule(8, 1), True),
+            (frame_free_rule(6, 6, TINY), False),
+        ):
+            calls.clear()
+            verdict = test_frum(data, with_witness=False)
+            assert verdict.accepted == accepted and calls == [data.values.shape]
+            assert verdict == test_frum(data, with_witness=False)
