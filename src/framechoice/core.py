@@ -15,7 +15,7 @@ from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import comb, isfinite
 from operator import attrgetter, index, itemgetter
 from types import SimpleNamespace
@@ -28,6 +28,7 @@ Number = Union[float, Fraction]
 MAX_UNIVERSE = 20  # lattice tables are O(n * 2^n)
 MAX_EXPONENT = 4300  # as Python's int digit limit; 1e-1000000 would build a 3.3M-bit Fraction
 _RESERVED = ("|", ",")
+RECORD_BLOCK = 4096  # records that Records.to_json joins at a time
 
 
 class DataError(ValueError):
@@ -162,9 +163,10 @@ class Universe:
             reads_back = name.splitlines() == [name] == [name.strip()] and name[:1] != "#"
             if not reads_back or any(ch in name for ch in _RESERVED):
                 raise DataError(f"bad alternative label {name!r}")
-        # label lookup and the frame_str memo; not dataclass fields, so
-        # equality, hash and repr still see only ``names``
+        # label lookup, the name-sorted (label, bit) order and the frame_str memo;
+        # not dataclass fields, so equality, hash and repr still see only ``names``
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
+        object.__setattr__(self, "_order", sorted((name, 1 << i) for i, name in enumerate(names)))
         object.__setattr__(self, "_texts", {})
 
     def __reduce__(self):
@@ -204,7 +206,9 @@ class Universe:
         """Canonical text form of a frame: ``|``-joined sorted labels (memoized)."""
         text = self._texts.get(mask)
         if text is None:
-            text = "|".join(sorted(self.names[i] for i in members(mask)))
+            if mask < 0 or mask >> self.n:
+                raise DataError(f"{'negative' if mask < 0 else 'out-of-range'} frame mask {mask}")
+            text = "|".join([label for label, bit in self._order if mask & bit])
             self._texts[mask] = text
         return text
 
@@ -221,6 +225,8 @@ class Records(Sequence):
     numbers, each written as ``json`` writes it (``float.__repr__`` for a
     finite float); any other column is written once per distinct key, so a
     label or frame shared by many records goes through ``json.dumps`` once.
+    ``to_json`` lays each block of ``RECORD_BLOCK`` records out as one flat
+    list of fixed key pieces and column texts, and joins it once.
     Indexing, iteration and ``==`` build the records as dicts, so the records
     compare equal to the list of dicts that would be written the same way.
     """
@@ -261,8 +267,20 @@ class Records(Sequence):
             else:
                 once = {k: json.dumps(lookup(k)) for k in dict.fromkeys(keys)}
                 texts.append(map(once.__getitem__, keys))
-        record = "{{" + ",".join(json.dumps(name) + ":{}" for name, _ in self._columns) + "}}"
-        return "[" + ",".join(map(record.format, *texts)) + "]"
+        # one record's pieces, ',{"a":' text ',"b":' text ... '}': the texts go in the odd slots
+        record = [piece for name, _ in self._columns for piece in ("," + json.dumps(name) + ":", None)]
+        record[0] = ",{" + record[0][1:]
+        record.append("}")
+        blocks, count = ["["], len(self)
+        for start in range(0, count, RECORD_BLOCK):  # a block at a time: the flat list stays small
+            flat = record * min(RECORD_BLOCK, count - start)
+            for slot, column in enumerate(texts):
+                flat[2 * slot + 1 :: len(record)] = islice(column, RECORD_BLOCK)
+            if start == 0:
+                flat[0] = flat[0][1:]  # no separator before the first record
+            blocks.append("".join(flat))
+        blocks.append("]")
+        return "".join(blocks)
 
 
 def _number_texts(values: Sequence) -> Iterable[str]:

@@ -12,11 +12,10 @@ interval sums and to exact linear feasibility over the enumerated types.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -108,6 +107,42 @@ class BMViolation:
         return out
 
 
+@dataclass(frozen=True, eq=False)
+class Violations(Sequence):
+    """Negative polynomial values as columns; ``Violations()`` holds none.
+
+    Indexing and iteration build :class:`BMViolation` objects, and a slice a
+    tuple of them; the sequence compares equal to, and hashes like, the tuple
+    of the same violations, so ``violations == ()`` tests for none.
+    """
+
+    kinds: Sequence[str] = ()
+    alternatives: Sequence[int] = ()
+    frames: Sequence[int] = ()
+    values: Sequence[Number] = ()
+    upper_frames: Sequence[int] | None = None  # None when no violation is interval-truncated
+
+    def __len__(self) -> int:
+        return len(self.alternatives)
+
+    def __getitem__(self, i):
+        upper = None if self.upper_frames is None else self.upper_frames[i]
+        parts = (self.kinds[i], self.alternatives[i], self.frames[i], self.values[i], upper)
+        return tuple(Violations(*parts)) if isinstance(i, slice) else BMViolation(*parts)
+
+    def __iter__(self) -> Iterator[BMViolation]:
+        uppers = repeat(None) if self.upper_frames is None else self.upper_frames
+        return map(BMViolation, self.kinds, self.alternatives, self.frames, self.values, uppers)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, Violations)):
+            return len(self) == len(other) and tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class FrumVerdict:
     """Outcome of the mixture-model test.
@@ -120,7 +155,7 @@ class FrumVerdict:
 
     accepted: bool
     complete_domain: bool
-    violations: tuple[BMViolation, ...]
+    violations: Violations | tuple[BMViolation, ...]  # a tuple when built by hand
     witness: TypeDistribution | None
 
     def to_json_dict(self, universe: Universe) -> dict:
@@ -132,26 +167,19 @@ class FrumVerdict:
         }
 
 
-def _violation_records(
-    violations: Sequence[BMViolation], universe: Universe
-) -> Records | list[dict]:
+def _violation_records(violations: Sequence[BMViolation], universe: Universe) -> Records | list[dict]:
     """The violations' JSON records, as ``BMViolation.to_json_dict`` writes each."""
-    bounded = {v.upper_frame is not None for v in violations}
-    if len(bounded) > 1:  # full and interval violations mixed: their records differ in keys
+    if not isinstance(violations, Violations):  # built by hand: full and interval violations may mix
         return [v.to_json_dict(universe) for v in violations]
-    frame, label = universe.frame_str, universe.names.__getitem__
-
-    def column(name: str) -> list:
-        return list(map(attrgetter(name), violations))
-
+    frame, uppers = universe.frame_str, violations.upper_frames
     records = {
-        "kind": (column("kind"), str),
-        "alternative": (column("alternative"), label),
-        "frame": (column("frame"), frame),
-        "value": (column("value"), number_to_json),
+        "kind": (violations.kinds, str),
+        "alternative": (violations.alternatives, universe.names.__getitem__),
+        "frame": (violations.frames, frame),
+        "value": (violations.values, number_to_json),
     }
-    if True in bounded:
-        records["upper_frame"] = (column("upper_frame"), frame)
+    if uppers is not None:
+        records["upper_frame"] = (uppers, frame)
     return Records(records)
 
 
@@ -168,14 +196,14 @@ class FrumRejectionError(DataError):
 # ---------------------------------------------------------------------------
 
 
-def interim_violations(data: StochasticChoiceData) -> tuple[BMViolation, ...]:
+def interim_violations(data: StochasticChoiceData) -> Violations:
     """Every computable negative interval sum, in deterministic order.
 
     Scans all observed frame pairs ``lo <= hi`` per alternative whose interval
     is fully observed for that alternative; a negative interval sum falsifies
     the model regardless of what the unobserved frames look like.
     """
-    out: list[BMViolation] = []
+    out: list[tuple] = []
     policy = data.policy
     zero = policy.zero()
     for alt, (row, seen) in enumerate(zip(data.values.tolist(), data.observed.tolist())):
@@ -194,19 +222,16 @@ def interim_violations(data: StochasticChoiceData) -> tuple[BMViolation, ...]:
                 scale = 1 << bin(hi & ~lo).count("1")
                 if not policy.is_nonneg(total, scale=scale):
                     kind = "interim_Y" if is_y else "interim_Q"
-                    out.append(BMViolation(kind, alt, lo, total, upper_frame=hi))
-    return tuple(out)
+                    out.append((kind, alt, lo, total, hi))
+    return Violations(*columns_of(out, 5))
 
 
-def _sign_violations(table: BMTable) -> tuple[BMViolation, ...]:
+def _sign_violations(table: BMTable) -> Violations:
     # every negative q entry in stable order, then every negative y entry
     negative = ~table.policy.is_nonneg(table.values)
     framed = table.framed
-    return tuple(
-        BMViolation(kind, alt, frame, value)
-        for kind, where in (("q", framed), ("y", ~framed))
-        for alt, frame, value in table.cells(negative & where)
-    )
+    q, y = table.columns(negative & framed), table.columns(negative & ~framed)
+    return Violations(["q"] * len(q[0]) + ["y"] * len(y[0]), *(a + b for a, b in zip(q, y)))
 
 
 def test_frum(data: StochasticChoiceData, with_witness: bool | None = None) -> FrumVerdict:
@@ -221,7 +246,7 @@ def test_frum(data: StochasticChoiceData, with_witness: bool | None = None) -> F
     if with_witness is None:
         with_witness = data.universe.n <= MAX_WITNESS_N
     if not with_witness and nonneg_certified(data):  # signs alone, without Fractions
-        return FrumVerdict(True, True, (), None)
+        return FrumVerdict(True, True, Violations(), None)
     table = compute_bm(data)
     violations = _sign_violations(table)
     if violations:
@@ -229,7 +254,7 @@ def test_frum(data: StochasticChoiceData, with_witness: bool | None = None) -> F
     witness = None
     if with_witness:
         witness = TypeDistribution(data.universe, _recover_paths(table), data.policy)
-    return FrumVerdict(True, True, (), witness)
+    return FrumVerdict(True, True, Violations(), witness)
 
 
 test_frum.__test__ = False  # analysis entry point, not a pytest case

@@ -88,17 +88,13 @@ class BMTable:
         alts, frames = np.nonzero(where)
         return alts.tolist(), frames.tolist(), self._read(self.values[where].tolist())
 
-    def cells(self, where: np.ndarray) -> Iterator[tuple[int, int, Number]]:
-        """(alternative, frame, value) at the True cells of a mask, in stable order."""
-        return zip(*self.columns(where))
-
     def q_items(self) -> Iterator[tuple[int, int, Number]]:
         """(alternative, frame, value) over all framed slots, in stable order."""
-        return self.cells(self.framed)
+        return zip(*self.columns(self.framed))
 
     def y_items(self) -> Iterator[tuple[int, int, Number]]:
         """(alternative, frame, value) over all non-framed slots, in stable order."""
-        return self.cells(~self.framed)
+        return zip(*self.columns(~self.framed))
 
     def to_json_dict(self) -> dict:
         uni = self.universe

@@ -19,9 +19,12 @@ from framechoice.core import (
 from framechoice import frum, polys
 from framechoice.detfum import ChoiceType, enumerate_types
 from framechoice.frum import (
+    BMViolation,
     DualCertificate,
     FrumRejectionError,
+    FrumVerdict,
     TypeDistribution,
+    Violations,
     check_prop2,
     feasible_completion,
     forward_frum,
@@ -35,7 +38,7 @@ from framechoice.polys import compute_bm, nonneg_certified
 from framechoice.sim import default_universe, perturb, sample_fluce, sample_mu, SimConfig
 
 from conftest import AB, A, B, EMPTY, TABLE3_UNIVERSE, random_rho, table3_data
-from oracles import branch_weight, naive_bm, oracle_prop2
+from oracles import branch_weight, naive_bm, oracle_prop2, oracle_verdict_json
 
 # Table-4 type order c1..c6
 C1 = ChoiceType((0,), 1)
@@ -617,6 +620,99 @@ class TestInterimScan:
     def test_scan_clean_on_consistent_data(self):
         data = table3_data(Fraction(2, 5), Fraction(3, 5))
         assert interim_violations(data) == ()
+
+
+def dyadic_rule(n: int, seed: int, policy) -> StochasticChoiceData:
+    """An arbitrary full-domain rule in 32nds: every float sum of its cells is exact."""
+    rng = random.Random(seed)
+    probs = {}
+    for frame in range(1 << n):
+        cuts = sorted(rng.sample(range(1, 32), n - 1))
+        for alt, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, 32])):
+            probs[(alt, frame)] = policy.convert(Fraction(hi - lo, 32))
+    return StochasticChoiceData(default_universe(n), probs, policy)
+
+
+def tuple_of_violations(data: StochasticChoiceData) -> tuple:
+    """The sign test's violations as one BMViolation per negative cell, by inclusion-exclusion."""
+    cells = sorted(naive_bm(data).items())  # (alternative, frame) ascending: the tables' stable order
+    return tuple(
+        BMViolation(kind, alt, frame, value)
+        for kind, framed in (("q", 1), ("y", 0))
+        for (alt, frame), value in cells
+        if frame >> alt & 1 == framed and not data.policy.is_nonneg(value)
+    )
+
+
+class TestViolationColumns:
+    """The verdict's violations are columns that read as the tuple of BMViolations they replace."""
+
+    @pytest.mark.parametrize("policy", [FLOAT64, RATIONAL], ids=["float", "rational"])
+    def test_sequence_reads_as_the_tuple(self, policy):
+        data = dyadic_rule(4, 3, policy)
+        violations = test_frum(data).violations
+        expected = tuple_of_violations(data)
+        assert isinstance(violations, Violations) and len(expected) > 3
+        assert violations == expected and expected == violations and not violations != expected
+        assert len(violations) == len(expected) and bool(violations)
+        assert violations[0] == expected[0] and violations[-1] == expected[-1]
+        assert violations[-2] == expected[-2] and isinstance(violations[1], BMViolation)
+        for part in (slice(1, 3), slice(None, 2), slice(None, None, -2), slice(5, 2)):
+            assert type(violations[part]) is tuple and violations[part] == expected[part]
+        assert violations[:2] + expected[:2] == expected[:2] * 2
+        assert list(violations) == list(expected) and tuple(violations) == expected
+        assert violations != expected[:-1] and violations != list(expected) and violations != ()
+        assert violations != expected[1:] + expected[:1]  # as long, in another order
+        with pytest.raises(IndexError):
+            violations[len(expected)]
+
+    @pytest.mark.parametrize("policy", [FLOAT64, RATIONAL], ids=["float", "rational"])
+    def test_verdicts_compare_and_hash_as_with_tuples(self, policy):
+        data = dyadic_rule(3, 5, policy)
+        verdict = test_frum(data)
+        by_hand = FrumVerdict(False, True, tuple_of_violations(data), None)
+        assert verdict == by_hand and hash(verdict) == hash(by_hand)
+        assert verdict == test_frum(data) and hash(verdict) == hash(test_frum(data))
+        assert len({verdict, by_hand}) == 1
+        accepted = test_frum(table3_data(Fraction(2, 5), Fraction(3, 5)), with_witness=False)
+        assert accepted.violations == () and () == accepted.violations and not accepted.violations
+        assert isinstance(accepted.violations, Violations) and hash(accepted.violations) == hash(())
+        assert accepted == FrumVerdict(True, True, (), None)
+
+    @pytest.mark.parametrize("policy", [FLOAT64, RATIONAL], ids=["float", "rational"])
+    def test_interim_violations_on_partial_data(self, policy):
+        full = dyadic_rule(4, 2, policy)
+        cells = {key: p for key, p in full.probs.items() if key[1] not in (0b0001, 0b0110)}
+        data = StochasticChoiceData(full.universe, cells, policy)
+        violations = interim_violations(data)
+        assert isinstance(violations, Violations) and len(violations) > 2
+        assert violations == tuple(violations) == test_frum(data).violations
+        assert violations[1:3] == tuple(violations)[1:3] and violations[-1] == tuple(violations)[-1]
+        for v in violations:
+            interim = polys.interim_y if v.kind == "interim_Y" else polys.interim_q
+            assert v.upper_frame is not None and v.value == interim(data, v.alternative, v.frame, v.upper_frame)
+            assert not policy.is_nonneg(v.value)
+        verdict = test_frum(data)
+        assert dumps_json(verdict.to_json_dict(data.universe)) == dumps_json(
+            oracle_verdict_json(verdict, data.universe)
+        )
+
+    def test_rejected_float_rule_builds_no_violation_objects(self, monkeypatch):
+        data = random_rho(default_universe(10), random.Random(10), FLOAT64)
+        made = []
+
+        def counted(*args, **kwargs):
+            made.append(args)
+            return BMViolation(*args, **kwargs)
+
+        monkeypatch.setattr(frum, "BMViolation", counted)
+        verdict = test_frum(data)
+        text = dumps_json(verdict.to_json_dict(data.universe))
+        assert not verdict.accepted and len(verdict.violations) > 1000 and made == []
+        verdict.violations[0]  # the counter sees what the sequence builds
+        assert len(made) == 1
+        monkeypatch.undo()
+        assert text == dumps_json(oracle_verdict_json(verdict, data.universe))
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,15 @@ import pytest
 from framechoice.core import (
     FLOAT64,
     RATIONAL,
+    RECORD_BLOCK,
     DataError,
     DeterministicChoiceData,
     NumericPolicy,
+    Records,
     StochasticChoiceData,
     Universe,
     dumps_json,
+    number_to_json,
     number_to_str,
     parse_deterministic,
     parse_stochastic,
@@ -415,6 +418,48 @@ class TestWriters:
         oracle = {"universe": list(uni.names), "frames": [r[0] for r in rows], "choices": records}
         assert dumps_json(data.to_json_dict()) == _canonical(oracle)
         assert parse_deterministic(data.to_csv()) == data
+
+
+def _numbers(kind: str, count: int, rng: random.Random) -> list:
+    """A number column of ``count`` values: finite floats, floats with non-finite ones, or Fractions."""
+    if kind == "floats":
+        return [rng.uniform(-1, 1) * 10 ** rng.randint(-300, 300) for _ in range(count)]
+    if kind == "nonfinite":
+        odd = [float("nan"), float("inf"), float("-inf"), -0.0]
+        return [odd[i % 4] if i % 3 == 0 else rng.random() for i in range(count)]
+    if kind == "shared_fractions":  # a few objects, each repeated
+        shared = [Fraction(1, 3), Fraction(-7, 8), Fraction(5), Fraction(1, 2**70)]
+        return [shared[rng.randrange(4)] for _ in range(count)]
+    return [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(count)]  # distinct objects
+
+
+class TestRecordsWriter:
+    """``Records.to_json`` writes the bytes that ``json.dumps`` writes for the records as dicts."""
+
+    @staticmethod
+    def _check(records: Records) -> None:
+        assert records.to_json() == json.dumps(list(records), sort_keys=True, separators=(",", ":"))
+
+    @pytest.mark.parametrize("count", [0, 1, RECORD_BLOCK - 1, RECORD_BLOCK, RECORD_BLOCK + 1])
+    @pytest.mark.parametrize("key", ["a", "b", "z"])  # the number column sorts first, in the middle, last
+    @pytest.mark.parametrize("kind", ["floats", "nonfinite", "shared_fractions", "fractions"])
+    def test_counts_and_number_column_position(self, count, key, kind):
+        rng = random.Random(count)
+        uni = Universe(tuple(LABELS))  # labels that json must escape among them
+        alts = [rng.randrange(uni.n) for _ in range(count)]
+        frames = [rng.randrange(1 << uni.n) for _ in range(count)]
+        self._check(Records.cells(uni, alts, frames, _numbers(kind, count, rng), key))
+
+    @pytest.mark.parametrize("count", [1, RECORD_BLOCK + 2])
+    def test_two_number_columns(self, count):
+        rng = random.Random(7)
+        uni = Universe(tuple(LABELS))
+        self._check(Records({
+            "alternative": ([rng.randrange(uni.n) for _ in range(count)], uni.names.__getitem__),
+            "p": (_numbers("floats", count, rng), number_to_json),
+            "q": (_numbers("shared_fractions", count, rng), number_to_json),
+            "tag\"": (["k\u00e9y"] * count, str),
+        }))
 
 
 class TestConstructorErrors:
