@@ -12,13 +12,18 @@ prints), 1 on usage or data errors.
 from __future__ import annotations
 
 import argparse
+import codecs
 import hashlib
 import json
+import os
 import sys
 import time
+from functools import partial
+from typing import Iterator
 
 from . import __version__
 from .core import (
+    TEXT_BLOCK,
     DataError,
     NumericPolicy,
     Universe,
@@ -110,18 +115,61 @@ def _policy(args: argparse.Namespace) -> NumericPolicy:
     return NumericPolicy(mode, args.epsilon)
 
 
-def _read_input(args: argparse.Namespace) -> tuple[str, str]:
+def _read_input(args: argparse.Namespace, parse, policy: NumericPolicy) -> tuple[object, str]:
+    """Parse the ``--in`` file as its blocks are read; returns the result and the digest of its bytes."""
     if not args.infile:
         raise DataError(f"{args.command} requires --in")
+    digest = hashlib.sha256()
     try:
         with open(args.infile, "rb") as fh:
-            raw = fh.read()
-        text = raw.decode("utf-8-sig")  # a leading byte-order mark is dropped
+            blocks = _text_blocks(fh, digest, args.infile)
+            try:
+                subject = parse(blocks, policy)
+            except DataError:
+                for _ in blocks:  # a UTF-8 fault further on is named before any fault of the data
+                    pass
+                raise
     except OSError as exc:
         raise DataError(f"cannot read {args.infile}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{args.infile} is not UTF-8 text: {exc}") from exc
-    return text, hashlib.sha256(raw).hexdigest()
+    return subject, digest.hexdigest()
+
+
+def _text_blocks(fh, digest, path: str) -> Iterator[str]:
+    """A binary file's UTF-8 text, ``TEXT_BLOCK`` bytes at a time; its bytes go to ``digest`` as read.
+
+    A leading byte-order mark is dropped, and a fault is named as
+    ``bytes.decode("utf-8-sig")`` names it for the whole file.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    done = 0  # bytes after any byte-order mark given to the decoder, where positions count from
+
+    def decode(block: bytes, final: bool = False) -> str:
+        nonlocal done
+        start = done - len(decoder.getstate()[0])  # the position of the bytes the decoder still holds
+        try:
+            text = decoder.decode(block, final)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text: {_decode_error(exc, start)}") from exc
+        done += len(block)
+        return text
+
+    head = fh.read(len(codecs.BOM_UTF8))
+    digest.update(head)
+    yield decode(b"" if head == codecs.BOM_UTF8 else head)
+    for block in iter(partial(fh.read, TEXT_BLOCK), b""):
+        digest.update(block)
+        yield decode(block)
+    yield decode(b"", final=True)
+
+
+def _decode_error(exc: UnicodeDecodeError, shift: int) -> str:
+    """``str(exc)`` with its positions moved on by ``shift`` bytes."""
+    start, end = exc.start + shift, exc.end + shift
+    if end - start == 1:
+        where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+    else:
+        where = f"bytes in position {start}-{end - 1}"
+    return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
 
 
 def _args_digest(args: argparse.Namespace, fields: list[str]) -> str:
@@ -145,9 +193,9 @@ def _deterministic(text: str, policy: NumericPolicy):
     return parse_deterministic(text)
 
 
-def _parameters(text: str, policy: NumericPolicy):
+def _parameters(text, policy: NumericPolicy):
     try:
-        payload = json.loads(text)
+        payload = json.loads("".join(text))
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed parameter file: {exc}") from exc
     return FLuceParams.from_json_dict(payload)
@@ -314,8 +362,7 @@ def _execute(args: argparse.Namespace) -> tuple[int, dict | str]:
     if isinstance(source, tuple):
         subject, digest = None, _args_digest(args, ["command", *source])
     else:
-        text, digest = _read_input(args)
-        subject = source(text, policy)
+        subject, digest = _read_input(args, source, policy)
     code, body = analyse(subject, args, policy)
     if isinstance(body, str):
         return code, body
@@ -327,13 +374,26 @@ def _execute(args: argparse.Namespace) -> tuple[int, dict | str]:
     }
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, payload: dict | str) -> None:
+    """Write raw text as it is, or a report as JSON and a newline, piece by piece as it is built."""
+
+    def emit(write) -> None:
+        if isinstance(payload, str):
+            write(payload)
+        else:
+            dumps_json(payload, write)
+            write("\n")
+
     if not path:
-        sys.stdout.write(text)
+        try:
+            emit(sys.stdout.write)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader stopped early, as `| head` does: the rest is not wanted
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            emit(fh.write)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -346,7 +406,6 @@ def run(argv: list[str]) -> int:
         code, payload = _execute(args)
         if not isinstance(payload, str):
             payload["timings"] = {"total_ms": round(1000 * (time.perf_counter() - started), 3)}
-            payload = dumps_json(payload) + "\n"
         _write(args.outfile, payload)
     except SystemExit as exc:  # --help and --version, once printed
         return OK if exc.code in (0, None) else USAGE

@@ -16,6 +16,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice, repeat
+from json.encoder import encode_basestring_ascii
 from math import comb, isfinite
 from operator import attrgetter, index, itemgetter
 from types import SimpleNamespace
@@ -28,7 +29,9 @@ Number = Union[float, Fraction]
 MAX_UNIVERSE = 20  # lattice tables are O(n * 2^n)
 MAX_EXPONENT = 4300  # as Python's int digit limit; 1e-1000000 would build a 3.3M-bit Fraction
 _RESERVED = ("|", ",")
-RECORD_BLOCK = 4096  # records that Records.to_json joins at a time
+RECORD_BLOCK = 4096  # records that a report joins, or quoted CSV rows that the reader takes, at a time
+TEXT_BLOCK = 1 << 19  # characters of CSV text that the reader takes at a time (bytes, from a file)
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines breaks
 
 
 class DataError(ValueError):
@@ -224,9 +227,9 @@ class Records(Sequence):
     ``lookup(keys[i])``.  A column whose lookup is ``number_to_json`` holds
     numbers, each written as ``json`` writes it (``float.__repr__`` for a
     finite float); any other column is written once per distinct key, so a
-    label or frame shared by many records goes through ``json.dumps`` once.
-    ``to_json`` lays each block of ``RECORD_BLOCK`` records out as one flat
-    list of fixed key pieces and column texts, and joins it once.
+    label or frame shared by many records is encoded once.
+    ``json_pieces`` lays each block of ``RECORD_BLOCK`` records out as one
+    flat list of fixed key pieces and column texts, and joins it once.
     Indexing, iteration and ``==`` build the records as dicts, so the records
     compare equal to the list of dicts that would be written the same way.
     """
@@ -259,28 +262,34 @@ class Records(Sequence):
     def __repr__(self) -> str:
         return repr(list(self))
 
-    def to_json(self) -> str:
+    def json_pieces(self) -> Iterator[str]:
+        """The records' JSON text, a block of ``RECORD_BLOCK`` records at a time."""
         texts = []
         for _, (keys, lookup) in self._columns:
             if lookup is number_to_json:
                 texts.append(_number_texts(keys))
             else:
-                once = {k: json.dumps(lookup(k)) for k in dict.fromkeys(keys)}
+                once = {k: _json_text(lookup(k)) for k in dict.fromkeys(keys)}
                 texts.append(map(once.__getitem__, keys))
         # one record's pieces, ',{"a":' text ',"b":' text ... '}': the texts go in the odd slots
         record = [piece for name, _ in self._columns for piece in ("," + json.dumps(name) + ":", None)]
         record[0] = ",{" + record[0][1:]
         record.append("}")
-        blocks, count = ["["], len(self)
+        count = len(self)
+        yield "["
         for start in range(0, count, RECORD_BLOCK):  # a block at a time: the flat list stays small
             flat = record * min(RECORD_BLOCK, count - start)
             for slot, column in enumerate(texts):
                 flat[2 * slot + 1 :: len(record)] = islice(column, RECORD_BLOCK)
             if start == 0:
                 flat[0] = flat[0][1:]  # no separator before the first record
-            blocks.append("".join(flat))
-        blocks.append("]")
-        return "".join(blocks)
+            yield "".join(flat)
+        yield "]"
+
+
+def _json_text(value: object) -> str:
+    """``json.dumps(value)``; a string goes straight to the encoder that ``json.dumps`` would call."""
+    return encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)
 
 
 def _number_texts(values: Sequence) -> Iterable[str]:
@@ -644,53 +653,143 @@ class DeterministicChoiceData:
 # ---------------------------------------------------------------------------
 
 
-def _read_columns(text: str, header: list[str]) -> tuple[list[list[str]], Universe | None]:
-    """The body's fields, unstripped, one list per header field, and any ``# universe:``.
+def _line_blocks(text: str | Iterable[str]) -> Iterator[tuple[str, list[str]]]:
+    """Text given whole or in blocks, as ``(chunk, lines)`` of about ``TEXT_BLOCK`` characters.
 
-    Without a ``"`` in the text the lines are split on commas in bulk;
-    quoted fields are read by ``csv``.
+    Small blocks are joined.  ``lines`` are the complete lines of ``chunk``
+    without their breaks; the line that a chunk's end cuts is carried into the
+    next.  A ``\\r\\n`` cut between blocks reads as a break and a blank line.
     """
-    explicit: Universe | None = None
-    lines = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
+    pending: list[str] = []
+    size, floor = 0, TEXT_BLOCK
+    for block in [text] if isinstance(text, str) else text:
+        pending.append(block)
+        size += len(block)
+        if size < floor:
             continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.lower().startswith("universe:"):
-                labels = body.split(":", 1)[1].strip()
-                names = tuple(lbl.strip() for lbl in labels.split("|"))
-                explicit = Universe(names) if labels else None
-            continue
-        lines.append(raw)
-    if not lines:
-        raise DataError("missing header row")
+        chunk = "".join(pending)
+        lines = chunk.splitlines()
+        pending = [] if chunk[-1] in _LINE_BREAKS else [lines.pop()]
+        size = len(pending[0]) if pending else 0
+        floor = max(TEXT_BLOCK, 2 * size)  # a line longer than a block is joined again once it doubles
+        yield chunk, lines
+    chunk = "".join(pending)
+    yield chunk, chunk.splitlines()
+
+
+def _read_columns(
+    text: str | Iterable[str], header: list[str], numbers: Callable[[list[str]], None] | None = None
+) -> tuple[list[tuple[np.ndarray, list[str]]], Universe | None]:
+    """Tokenize CSV text given whole or in blocks; returns its label columns and any ``# universe:``.
+
+    For each header field the result holds the code of each row's string and
+    the distinct strings, unstripped, numbered in order of first appearance
+    across blocks.  With ``numbers``, the last field is not numbered: its
+    strings go to ``numbers`` a batch of rows at a time.  A bad ``# universe:``
+    line raises as it is read; a missing or wrong header and the first row of
+    the wrong width or unreadable by ``csv`` are raised after the last line,
+    since a bad ``# universe:`` line further on is named first.  Rows are split
+    on commas a block at a time until the text holds a ``"``; from that block
+    on the rest is read by ``csv``, whose quoted fields may span lines.
+    """
     width = len(header)
-    if '"' in text:  # quoted fields: the csv module's rules
-        head, *rows = csv.reader(lines)
-    else:
-        head, rows = lines[0].split(","), None
-    got = [cell.strip() for cell in head]
-    if got != header:
-        raise DataError(f"expected header {','.join(header)!r}, got {','.join(got)!r}")
-    if rows is None:  # one split of the whole body, once each line has width - 1 commas
-        body = lines[1:]
-        commas = np.fromiter(map(str.count, body, repeat(",")), np.int64, len(body))
+    distinct: list[dict[str, int]] = [{} for _ in range(width - (numbers is not None))]
+    codes: list[list[np.ndarray]] = [[] for _ in distinct]
+    explicit: Universe | None = None
+    quoted = False
+
+    def body() -> Iterator[list[str]]:  # each block's lines less blanks and comments
+        nonlocal explicit, quoted
+        for chunk, lines in _line_blocks(text):
+            quoted = quoted or '"' in chunk
+            if "#" not in chunk:
+                yield list(filter(str.strip, lines))
+                continue
+            kept = []
+            for raw in lines:
+                line = raw.strip()
+                if line.startswith("#"):
+                    comment = line[1:].strip()
+                    if comment.lower().startswith("universe:"):
+                        labels = comment.split(":", 1)[1].strip()
+                        names = tuple(lbl.strip() for lbl in labels.split("|"))
+                        explicit = Universe(names) if labels else None
+                elif line:
+                    kept.append(raw)
+            yield kept
+
+    def take(columns: Sequence[list[str]]) -> None:  # a batch of rows, as columns
+        for column, seen, out in zip(columns, distinct, codes):
+            new = [s for s in dict.fromkeys(column) if s not in seen]
+            seen.update(zip(new, range(len(seen), len(seen) + len(new))))
+            out.append(np.fromiter(map(seen.__getitem__, column), np.int32, len(column)))
+        if numbers is not None:
+            numbers(columns[-1])
+
+    def head_fault(row: list[str]) -> DataError | None:
+        got = [cell.strip() for cell in row]
+        if got != header:
+            return DataError(f"expected header {','.join(header)!r}, got {','.join(got)!r}")
+        return None
+
+    def width_fault(row: list[str]) -> DataError:
+        return DataError(f"row {row!r} has {len(row)} fields, expected {width}")
+
+    def read_quoted(lines: Iterator[str]) -> DataError | None:
+        nonlocal seen_head
+        batch, count = [], 0
+        try:
+            for row in csv.reader(lines):
+                if not seen_head:
+                    seen_head = True
+                    if fault := head_fault(row):
+                        return fault
+                    continue
+                count += 1
+                if len(row) != width:
+                    return width_fault(row)
+                batch.append(row)
+                if len(batch) == RECORD_BLOCK:
+                    take(columns_of(batch, width))
+                    batch = []
+        except csv.Error as exc:  # such as a quoted field past csv's field size limit
+            where = f"row {count + 1} after the header" if seen_head else "the header row"
+            seen_head = True
+            return DataError(f"cannot read {where}: {exc}")
+        if batch:
+            take(columns_of(batch, width))
+        return None
+
+    blocks = body()
+    fault, seen_head = None, False
+    for lines in blocks:
+        if quoted:
+            fault = read_quoted(chain(lines, chain.from_iterable(blocks)))
+            break
+        if lines and not seen_head:
+            seen_head = True
+            if fault := head_fault(lines[0].split(",")):
+                break
+            lines = lines[1:]
+        commas = np.fromiter(map(str.count, lines, repeat(",")), np.int64, len(lines))
         wrong = np.flatnonzero(commas != width - 1)
-        if not wrong.size:
-            fields = ",".join(body).split(",") if body else []
-            return [fields[i::width] for i in range(width)], explicit
-        rows = [body[wrong[0]].split(",")]
-    for row in rows:
-        if len(row) != width:
-            raise DataError(f"row {row!r} has {len(row)} fields, expected {width}")
-    return [[row[i] for row in rows] for i in range(width)], explicit
-
-
-def _stripped(column: list[str]) -> dict[str, str]:
-    """Each distinct string of a column, in order of first appearance, to its stripped form."""
-    return {text: text.strip() for text in dict.fromkeys(column)}
+        if wrong.size:
+            fault = width_fault(lines[wrong[0]].split(","))
+            break
+        if lines:  # one split of the block, once each line has width - 1 commas
+            fields = ",".join(lines).split(",")
+            take([fields[i::width] for i in range(width)])
+    for _ in blocks:  # after a fault: the '# universe:' lines still to come
+        pass
+    if not seen_head:
+        raise DataError("missing header row")
+    if fault:
+        raise fault
+    columns = [
+        (np.concatenate(out) if out else np.zeros(0, np.int32), list(seen))
+        for seen, out in zip(distinct, codes)
+    ]
+    return columns, explicit
 
 
 def _infer_universe(alts: Iterable[str], frames: Iterable[str]) -> Universe:
@@ -703,58 +802,99 @@ def _infer_universe(alts: Iterable[str], frames: Iterable[str]) -> Universe:
     return Universe(tuple(sorted(labels)))
 
 
-def _parse_numbers(texts: list[str], policy: NumericPolicy) -> np.ndarray:
-    """A column's numbers: ``float`` on every text at once, else ``policy.parse`` on each.
+class _Numbers:
+    """A column of number literals, read a batch of rows at a time.
 
-    ``float`` takes a subset of the blanks that ``policy.parse`` strips, so
-    where it succeeds the two agree; a ``p/q`` literal, a rational mode or a
-    bad literal to name goes through ``policy.parse``.
+    In float mode ``float`` converts a batch at once.  Otherwise each distinct
+    literal goes through ``policy.parse`` once: once per batch in float mode,
+    once per file in rational mode, so rows that repeat a literal share its
+    ``Fraction``.  ``float`` takes a subset of the blanks that ``policy.parse``
+    strips, so where it succeeds the two agree.  A bad literal reads as zero;
+    the first bad row and its error are kept in ``bad`` for the caller to
+    raise after the faults that come first.
     """
-    if not policy.exact:
-        try:
-            return np.fromiter(map(float, texts), np.float64, len(texts))
-        except ValueError:
-            pass
-    # each distinct literal once, in order of first appearance: the first bad one is the earliest row's
-    number = {text: policy.parse(text) for text in dict.fromkeys(texts)}
-    return np.fromiter(map(number.__getitem__, texts), object if policy.exact else np.float64, len(texts))
+
+    def __init__(self, policy: NumericPolicy):
+        self.policy = policy
+        self.parts: list[np.ndarray] = []
+        self.rows = 0
+        self.memo: dict[str, Number] = {}
+        self.bad: tuple[int, DataError] | None = None
+
+    def __call__(self, texts: list[str]) -> None:
+        policy = self.policy
+        values = None
+        if not policy.exact:
+            try:
+                values = np.fromiter(map(float, texts), np.float64, len(texts))
+            except ValueError:
+                pass
+        if values is None:
+            memo = self.memo if policy.exact else {}
+            for text in dict.fromkeys(texts):
+                if text not in memo:
+                    try:
+                        memo[text] = policy.parse(text)
+                    except DataError as exc:  # first seen here, so its first row is in this batch
+                        memo[text] = policy.zero()
+                        if self.bad is None:
+                            self.bad = (self.rows + texts.index(text), exc)
+            dtype = object if policy.exact else np.float64
+            values = np.fromiter(map(memo.__getitem__, texts), dtype, len(texts))
+        self.parts.append(values)
+        self.rows += len(texts)
+
+    def values(self) -> np.ndarray:
+        """The column's numbers; the batches are let go."""
+        if not self.parts:
+            return np.zeros(0, object if self.policy.exact else np.float64)
+        values = np.concatenate(self.parts)
+        self.parts.clear()
+        return values
+
+
+def _first_repeat(key: np.ndarray) -> int:
+    """The first row whose key an earlier row holds, or the number of rows."""
+    order = np.argsort(key, kind="stable")
+    repeats = order[1:][key[order[1:]] == key[order[:-1]]]
+    return int(repeats.min()) if repeats.size else len(key)
 
 
 def parse_stochastic(
-    text: str,
+    text: str | Iterable[str],
     policy: NumericPolicy = FLOAT64,
     allow_partial: bool = False,
 ) -> StochasticChoiceData:
     """Parse ``frame,alternative,probability`` CSV content.
 
-    The frame field is a ``|``-joined label list (empty string for the empty
-    frame).  The universe is the union of labels seen, unless an explicit
+    ``text`` is the whole content, or its text in blocks of any size (an
+    open text file, say), read a block at a time.  The frame field is a
+    ``|``-joined label list (empty string for the empty frame).  The
+    universe is the union of labels seen, unless an explicit
     ``# universe: a|b|c`` comment is present.  Frames with observations for
     only some alternatives are rejected unless ``allow_partial`` is set; they
     are never renormalized.  An unknown alternative is reported before a bad
     frame, and both before the first duplicate row or bad number.
     """
-    (frames, alts, ps), explicit = _read_columns(text, ["frame", "alternative", "probability"])
-    alt_text, frame_text = _stripped(alts), _stripped(frames)
-    universe = explicit or _infer_universe(alt_text.values(), frame_text.values())
+    numbers = _Numbers(policy)
+    columns, explicit = _read_columns(text, ["frame", "alternative", "probability"], numbers)
+    (frame_codes, frames), (alt_col, alts) = columns
+    del columns  # the code arrays are freed as they are replaced
+    frame_text, alt_text = [s.strip() for s in frames], [s.strip() for s in alts]
+    universe = explicit or _infer_universe(alt_text, frame_text)
     # each distinct string converts once, labels first: a full domain repeats every frame n times
-    label = {s: universe.index(s) for s in dict.fromkeys(alt_text.values())}
-    mask = {s: universe.frame(s) for s in dict.fromkeys(frame_text.values())}
-    alt_of = {raw: label[s] for raw, s in alt_text.items()}
-    frame_of = {raw: mask[s] for raw, s in frame_text.items()}
-    rows = len(ps)
-    alt_col = np.fromiter(map(alt_of.__getitem__, alts), np.int64, rows)
-    frame_col = np.fromiter(map(frame_of.__getitem__, frames), np.int64, rows)
-    key = frame_col * universe.n + alt_col
-    order = np.argsort(key, kind="stable")
-    repeats = order[1:][key[order[1:]] == key[order[:-1]]]  # each row equal to an earlier one
-    first = int(repeats.min()) if repeats.size else rows
-    # a bad number before the first repeated row is reported first
-    probs = _parse_numbers(ps[:first], policy)
+    label = {s: universe.index(s) for s in dict.fromkeys(alt_text)}
+    mask = {s: universe.frame(s) for s in dict.fromkeys(frame_text)}
+    alt_col = np.array([label[s] for s in alt_text], np.int32)[alt_col]
+    frame_col = np.array([mask[s] for s in frame_text], np.int32)[frame_codes]
+    rows = len(alt_col)
+    first = _first_repeat(frame_col * universe.n + alt_col)  # n * 2^n fits in int32
+    if numbers.bad is not None and numbers.bad[0] < first:  # a bad number before the first repeated row
+        raise numbers.bad[1]
     if first < rows:
-        where = f"({alt_text[alts[first]]!r}, {frame_text[frames[first]]!r})"
+        where = f"({universe.names[alt_col[first]]!r}, {frame_text[frame_codes[first]]!r})"
         raise DataError(f"duplicate row for {where}")
-    data = StochasticChoiceData(universe, _Cells(alt_col, frame_col, probs), policy)
+    data = StochasticChoiceData(universe, _Cells(alt_col, frame_col, numbers.values()), policy)
     if data.partial and not allow_partial:
         raise DataError(
             "incomplete frames (missing alternatives are not imputed as 0): "
@@ -763,17 +903,18 @@ def parse_stochastic(
     return data
 
 
-def parse_deterministic(text: str) -> DeterministicChoiceData:
-    """Parse ``frame,choice`` CSV content into a deterministic choice rule."""
-    (frames, picks), explicit = _read_columns(text, ["frame", "choice"])
-    frame_text, pick_text = _stripped(frames), _stripped(picks)
-    universe = explicit or _infer_universe(pick_text.values(), frame_text.values())
+def parse_deterministic(text: str | Iterable[str]) -> DeterministicChoiceData:
+    """Parse ``frame,choice`` CSV content, given whole or in blocks, into a deterministic choice rule."""
+    columns, explicit = _read_columns(text, ["frame", "choice"])
+    (frame_codes, frames), (pick_codes, picks) = columns
+    frame_text, pick_text = [s.strip() for s in frames], [s.strip() for s in picks]
+    universe = explicit or _infer_universe(pick_text, frame_text)
     choices: dict[int, int] = {}
-    for frame_s, choice_s in zip(frames, picks):  # row by row: the first faulty row is reported
-        frame = universe.frame(frame_text[frame_s])
+    for f, c in zip(frame_codes.tolist(), pick_codes.tolist()):  # row by row: the first faulty row is reported
+        frame = universe.frame(frame_text[f])
         if frame in choices:
-            raise DataError(f"duplicate row for frame {frame_text[frame_s]!r}")
-        choices[frame] = universe.index(pick_text[choice_s])
+            raise DataError(f"duplicate row for frame {frame_text[f]!r}")
+        choices[frame] = universe.index(pick_text[c])
     return DeterministicChoiceData(universe, choices)
 
 
@@ -826,16 +967,32 @@ def validate(data: StochasticChoiceData) -> ValidationReport:
     )
 
 
-def dumps_json(payload: dict) -> str:
-    """Canonical JSON used everywhere: sorted keys, stable separators.
+def _json_pieces(payload: object) -> Iterator[str]:
+    """The canonical JSON text of ``payload``, piece by piece.
 
     :class:`Records` are written from their columns.  A dict that holds a
     dict or records is written key by key (its keys are strings); anything
     else goes to ``json`` whole.
     """
     if isinstance(payload, Records):
-        return payload.to_json()
-    if isinstance(payload, dict) and any(isinstance(v, (dict, Records)) for v in payload.values()):
-        items = sorted(payload.items())
-        return "{" + ",".join(json.dumps(k) + ":" + dumps_json(v) for k, v in items) + "}"
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        yield from payload.json_pieces()
+    elif isinstance(payload, dict) and any(isinstance(v, (dict, Records)) for v in payload.values()):
+        for i, (key, value) in enumerate(sorted(payload.items())):
+            yield ("," if i else "{") + json.dumps(key) + ":"
+            yield from _json_pieces(value)
+        yield "}"
+    else:
+        yield json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def dumps_json(payload: object, write: Callable[[str], object] | None = None) -> str | None:
+    """Canonical JSON used everywhere: sorted keys, stable separators.
+
+    Returns the text; with ``write``, hands it each piece as it is built
+    instead, so a large report is never held whole.
+    """
+    if write is None:
+        return "".join(_json_pieces(payload))
+    for piece in _json_pieces(payload):
+        write(piece)
+    return None

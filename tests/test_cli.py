@@ -1,10 +1,16 @@
 """Command-line surface: reports, exit codes, determinism."""
 
+import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from framechoice import cli, core
 from framechoice.cli import run
 from framechoice.core import DeterministicChoiceData
 from framechoice.detfum import ChoiceType, FUMRepresentation, evaluate_fum
@@ -163,6 +169,101 @@ class TestExitCodes:
             bom = run_json([command, "--in", str(marked)], capsys, code)
             assert bom["report"] == plain["report"], command
             assert bom["input_digest"] != plain["input_digest"]  # digest of the raw bytes
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 64])
+    def test_byte_order_mark_and_crlf_in_blocks(self, tmp_path, capsys, monkeypatch, block):
+        original = DATA_DIR / "intro_full.csv"
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + original.read_bytes().replace(b"\n", b"\r\n"))
+        plain = run_json(["test-frum", "--in", str(original)], capsys, 2)
+        monkeypatch.setattr(cli, "TEXT_BLOCK", block)
+        monkeypatch.setattr(core, "TEXT_BLOCK", block)
+        bom = run_json(["test-frum", "--in", str(marked)], capsys, 2)
+        assert bom["report"] == plain["report"]
+        assert bom["input_digest"] == hashlib.sha256(marked.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
+    def test_read_in_blocks(self, tmp_path, capsys, monkeypatch, block):
+        # multibyte labels cut between byte blocks; the digest is still of the whole file
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join(line.replace("a", "日本") if line[:1] != "f" else line
+                                   for line in TABLE3_CSV.splitlines()), encoding="utf-8")
+        whole = run_json(["bm", "--in", str(path)], capsys, 0)
+        monkeypatch.setattr(cli, "TEXT_BLOCK", block)
+        cut = run_json(["bm", "--in", str(path)], capsys, 0)
+        assert whole["report"] == cut["report"] and whole["input_digest"] == cut["input_digest"]
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64, cli.TEXT_BLOCK])
+    def test_not_utf8_names_the_byte_as_a_whole_file_decode(self, tmp_path, capsys, monkeypatch, block):
+        monkeypatch.setattr(cli, "TEXT_BLOCK", block)
+        monkeypatch.setattr(core, "TEXT_BLOCK", block)  # the parser sees each line as soon as it ends
+        body = TABLE3_CSV.encode() * 3
+        contents = [
+            b"\xff\xfe",
+            body + b"\xff" + body,  # past the first block
+            b"\xef\xbb\xbf" + body + b"\xff",  # after a byte-order mark: positions count from after it
+            body + "日".encode()[:2],  # a sequence cut off at the end
+            b"\xef\xbb\xbf" + "日".encode()[:2],
+            body + b"\xe6\x97x" + body,  # a sequence broken off mid-file
+            b"\xef\xbb",
+            # a fault of the data comes first, the UTF-8 fault wins
+            b"frame,choice\n" + body + b"\xc3",
+            body.replace(b"0.4", b"x") + b"# universe: a|a\n" + body + b"\x80",
+        ]
+        bad = tmp_path / "bad.csv"
+        for raw in contents:
+            bad.write_bytes(raw)
+            with pytest.raises(UnicodeDecodeError) as whole:
+                raw.decode("utf-8-sig")
+            err = run_error(["validate", "--in", str(bad)], capsys)
+            assert err == f"error: {bad} is not UTF-8 text: {whole.value}\n", raw
+
+    def test_quoted_field_past_the_csv_limit_is_usage_error(self, tmp_path, capsys):
+        limit = csv.field_size_limit()
+        label = "x" * (limit + 1)
+        text = f"# universe: {label}|b\nframe,alternative,probability\n,b,1\n,{label},0\n"
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        plain.write_text(text)
+        quoted.write_text(text.replace(f",{label},", f',"{label}",'))
+        assert run(["validate", "--in", str(plain)]) == 0
+        capsys.readouterr()
+        err = run_error(["validate", "--in", str(quoted)], capsys)
+        assert err == f"error: cannot read row 2 after the header: field larger than field limit ({limit})\n"
+        head = tmp_path / "head.csv"
+        head.write_text(f'"{label}",alternative,probability\n,b,1\n')
+        err = run_error(["validate", "--in", str(head)], capsys)
+        assert err == f"error: cannot read the header row: field larger than field limit ({limit})\n"
+        assert csv.field_size_limit() == limit
+
+    def test_closed_stdout_pipe_ends_quietly(self, tmp_path, capsys):
+        path = tmp_path / "rule.csv"
+        assert run(["simulate", "--kind", "fluce", "--n", "8", "--seed", "3", "--emit", "data",
+                    "--format", "csv", "--out", str(path)]) == 0
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.Popen([sys.executable, "-m", "framechoice.cli", "bm", "--in", str(path)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.read(10) == b'{"command"'  # the report is many pipe buffers long
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
+    @pytest.mark.parametrize("command", ["bm", "test-frum", "hasse"])
+    def test_stdout_and_out_file_get_the_same_bytes(self, tmp_path, capsys, command):
+        path = tmp_path / "rule.csv"
+        assert run(["simulate", "--kind", "fluce", "--n", "5", "--seed", "3", "--emit", "data",
+                    "--format", "csv", "--out", str(path)]) == 0
+        out = tmp_path / "report.json"
+        code = run([command, "--in", str(path), "--out", str(out)])
+        assert capsys.readouterr().out == ""
+        assert run([command, "--in", str(path)]) == code
+        printed = capsys.readouterr().out
+
+        def body(text):
+            return text[: text.rindex(',"timings":')]
+
+        written = out.read_text(encoding="utf-8")
+        assert written.endswith("}\n") and body(written) == body(printed)
 
     def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
         target = tmp_path / "missing" / "r.json"

@@ -9,10 +9,13 @@ message or the same bytes.
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
+from framechoice import core
 from framechoice.core import (
     FLOAT64,
     RATIONAL,
@@ -32,7 +35,8 @@ from framechoice.core import (
 )
 from framechoice.frum import BMViolation, DualCertificate, FrumVerdict, test_frum
 from framechoice.polys import compute_bm, export_hasse
-from framechoice.sim import SimConfig, perturb
+from framechoice.fluce import forward_fluce
+from framechoice.sim import SimConfig, perturb, sample_fluce
 
 from oracles import (
     oracle_certificate_json,
@@ -141,6 +145,27 @@ def _assemble(rng: random.Random, names: list[str], header: str, lines: list[str
     return end.join(out) + rng.choice(["", end])
 
 
+def _chunkings(text: str):
+    """``text`` in 1-character blocks, in lines, and cut 1 character before and after each line break."""
+    yield list(text)
+    lines = text.splitlines(keepends=True)
+    yield lines
+    ends = list(accumulate(map(len, lines)))
+    for shift in (-1, 1):
+        cuts = sorted({min(max(end + shift, 0), len(text)) for end in ends} | {0, len(text)})
+        yield [text[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _same_in_blocks(parse, text: str, *args) -> tuple:
+    """``parse`` on ``text`` whole and cut into blocks every way agrees with its oracle; returns the outcome."""
+    oracle = {parse_stochastic: oracle_parse_stochastic, parse_deterministic: oracle_parse_deterministic}
+    want = _outcome(oracle[parse], text, *args)
+    _same(_outcome(parse, text, *args), want)
+    for blocks in _chunkings(text):
+        _same(_outcome(parse, iter(blocks), *args), want)
+    return want
+
+
 # the two-fault files of the fault-order tests and the corpus's bad inputs
 FAULT_BODIES = [
     ",a,x\n,z,0.5\n",
@@ -158,16 +183,21 @@ FAULT_BODIES = [
 ]
 
 
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """The reader splits every block it is given at its last line break, whatever its size."""
+    monkeypatch.setattr(core, "TEXT_BLOCK", 1)
+
+
 class TestReader:
     @pytest.mark.parametrize("policy", POLICIES, ids=["float", "rational"])
-    def test_fuzz_matches_the_row_by_row_reader(self, policy):
+    def test_fuzz_matches_the_row_by_row_reader(self, policy, small_blocks):
         rng = random.Random(21 + policy.exact)
         kinds = set()
         for _ in range(400):
             text = _stochastic_text(rng)
             partial = rng.random() < 0.5
-            ours = _outcome(parse_stochastic, text, policy, partial)
-            _same(ours, _outcome(oracle_parse_stochastic, text, policy, partial))
+            ours = _same_in_blocks(parse_stochastic, text, policy, partial)
             kinds.add((ours[0] if ours[0] != "DataError" else ours[1].split()[0], '"' in text))
         # the draws reach both readers, datasets and several kinds of fault
         assert {("ok", False), ("ok", True)} <= kinds
@@ -182,6 +212,43 @@ class TestReader:
                 ours = _outcome(parse_stochastic, text, policy, partial)
                 _same(ours, _outcome(oracle_parse_stochastic, text, policy, partial))
 
+    @pytest.mark.parametrize("policy", POLICIES, ids=["float", "rational"])
+    @pytest.mark.parametrize("body", FAULT_BODIES)
+    def test_fault_files_in_blocks(self, policy, body, small_blocks):
+        for head in ("# universe: a|b\n", "# universe: a|b|c\n", ""):
+            for partial in (False, True):
+                _same_in_blocks(parse_stochastic, head + STOCHASTIC_HEAD + "\n" + body, policy, partial)
+
+    @pytest.mark.parametrize("block", [1, 2, 5, core.TEXT_BLOCK])
+    @pytest.mark.parametrize("policy", POLICIES, ids=["float", "rational"])
+    def test_block_boundaries(self, policy, block, monkeypatch):
+        monkeypatch.setattr(core, "TEXT_BLOCK", block)
+        rows = ["a|b,a,0.25", "a|b,b,0.75", "a,a,1", "a,b,0", "b,a,0.5", "b,b,0.5", ",a,0.5", ",b,0.5"]
+        plain = "\n".join(["# universe: a|b", STOCHASTIC_HEAD, *rows]) + "\n"
+        wide = plain.replace("a", "日本")  # multibyte labels
+        texts = [
+            plain,
+            plain.replace("\n", "\r\n"),
+            plain.replace("\n", "\r"),
+            "\ufeff" + plain,  # a byte-order mark is the file reader's to drop
+            wide,
+            "\n".join([STOCHASTIC_HEAD, *rows, "# universe: b|a|c"]),  # a '# universe:' line after the data
+            plain.replace("a|b,a", '"a|\nb",a').replace("b,b,0.5", '"b",\n"b",0.5'),  # quoted fields span lines
+            plain.replace('a,a,1', '"a","a",1').replace("\n,a", "\n\n# note\n  \n,a"),
+            # a bad '# universe:' line beats any fault before it, of the header, a row or a number
+            plain + "a,a,x\n" + "# universe: a|a\n",
+            plain + "a,a\n" + "# universe: a|a\n",
+            plain + '"a",a\n' + "# universe: a||b\n",
+            plain.replace(STOCHASTIC_HEAD, "frame,alt,probability") + "# universe: #a\n",
+            plain.replace(STOCHASTIC_HEAD, "frame,alt,probability") + '"zz",a,1\n',
+            "\n# only comments\n",
+        ]
+        for text in texts:
+            for partial in (False, True):
+                _same_in_blocks(parse_stochastic, text, policy, partial)
+        for text in ("frame,choice\n,a\n日本,b\n# universe: 日本|a|b\n", "frame,choice\r\n\"a|\nb\",a\r\n"):
+            _same_in_blocks(parse_deterministic, text)
+
     def test_float_literals_take_the_per_cell_path_alike(self):
         # p/q, digits with an underscore, nan, and blanks that float() keeps but strip() drops
         for literal in ("1/2", " 1/2 ", "5_0e-2", "nan", "\x1f0.5", "0.5\x1f", "　0.5", "1/0"):
@@ -190,7 +257,7 @@ class TestReader:
                 ours = _outcome(parse_stochastic, text, FLOAT64, partial)
                 _same(ours, _outcome(oracle_parse_stochastic, text, FLOAT64, partial))
 
-    def test_deterministic_fuzz(self):
+    def test_deterministic_fuzz(self, small_blocks):
         rng = random.Random(2121)
         for _ in range(300):
             n = rng.randint(1, 3)
@@ -208,10 +275,12 @@ class TestReader:
             rng.shuffle(rows)
             lines = [",".join(_field(rng, cell) for cell in row) for row in rows]
             text = _assemble(rng, names, "frame,choice", lines)
-            ours, theirs = _outcome(parse_deterministic, text), _outcome(oracle_parse_deterministic, text)
-            assert ours[0] == theirs[0] and (ours[1] == theirs[1]), (text, ours, theirs)
-            if ours[0] == "ok":
-                assert ours[1].to_csv() == theirs[1].to_csv()
+            theirs = _outcome(oracle_parse_deterministic, text)
+            for blocks in [text, *map(iter, _chunkings(text))]:
+                ours = _outcome(parse_deterministic, blocks)
+                assert ours[0] == theirs[0] and (ours[1] == theirs[1]), (text, ours, theirs)
+                if ours[0] == "ok":
+                    assert ours[1].to_csv() == theirs[1].to_csv()
 
 
 def _dataset(policy: NumericPolicy, seed: int, n: int = 3) -> StochasticChoiceData:
@@ -309,6 +378,10 @@ class TestRationalFaults:
         data = parse_stochastic(STOCHASTIC_HEAD + "\n" + "".join(rows), RATIONAL)
         assert seen == ["1/4", "3/4"]
         assert data.rho(0, 0) == data.rho(1, 0b11) == Fraction(1, 4)
+        monkeypatch.setattr(core, "TEXT_BLOCK", 1)  # a batch per row: still once per file
+        seen.clear()
+        assert parse_stochastic(iter([STOCHASTIC_HEAD + "\n", *rows]), RATIONAL) == data
+        assert seen == ["1/4", "3/4"]
 
     def test_denominators_above_int64(self):
         uni = Universe(("a", "b"))
@@ -434,11 +507,14 @@ def _numbers(kind: str, count: int, rng: random.Random) -> list:
 
 
 class TestRecordsWriter:
-    """``Records.to_json`` writes the bytes that ``json.dumps`` writes for the records as dicts."""
+    """``dumps_json`` writes records, whole or piece by piece, as ``json.dumps`` writes them as dicts."""
 
     @staticmethod
     def _check(records: Records) -> None:
-        assert records.to_json() == json.dumps(list(records), sort_keys=True, separators=(",", ":"))
+        pieces = []
+        dumps_json(records, pieces.append)
+        want = json.dumps(list(records), sort_keys=True, separators=(",", ":"))
+        assert dumps_json(records) == "".join(pieces) == want
 
     @pytest.mark.parametrize("count", [0, 1, RECORD_BLOCK - 1, RECORD_BLOCK, RECORD_BLOCK + 1])
     @pytest.mark.parametrize("key", ["a", "b", "z"])  # the number column sorts first, in the middle, last
@@ -460,6 +536,53 @@ class TestRecordsWriter:
             "q": (_numbers("shared_fractions", count, rng), number_to_json),
             "tag\"": (["k\u00e9y"] * count, str),
         }))
+
+
+class TestMemoryBounds:
+    """The reader holds a block of text at a time and the writer a block of records, by ``tracemalloc``."""
+
+    @pytest.fixture(scope="class")
+    def rule_file(self, tmp_path_factory):
+        n = 12
+        data = forward_fluce(sample_fluce(SimConfig(seed=1, n=n)), range(1 << n), FLOAT64)
+        path = tmp_path_factory.mktemp("n12") / "rule.csv"
+        path.write_text(data.to_csv(), encoding="utf-8")
+        return path, data
+
+    @staticmethod
+    def _peak(call) -> int:
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    def test_parse_from_a_file(self, rule_file):
+        path, data = rule_file
+        parsed = []
+
+        def parse():
+            with open(path, encoding="utf-8") as fh:  # an open text file: its lines, in blocks
+                parsed.append(parse_stochastic(fh))
+
+        peak = self._peak(parse)
+        assert parsed == [data]
+        # the whole text, split into lines and fields at once, peaked near 10x
+        assert peak < 8 * path.stat().st_size
+
+    def test_bm_write_to_a_sink(self, rule_file):
+        _, data = rule_file
+        payload = compute_bm(data).to_json_dict()
+        size = [0]
+
+        def sink(piece: str) -> None:
+            size[0] += len(piece)
+
+        peak = self._peak(lambda: dumps_json(payload, sink))
+        assert size[0] == len(dumps_json(payload)) > 2_000_000
+        assert peak < size[0]  # the body built whole and then written peaked near twice its size
 
 
 class TestConstructorErrors:
