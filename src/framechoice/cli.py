@@ -388,8 +388,10 @@ def _write(path: str | None, payload: dict | str) -> None:
         try:
             emit(sys.stdout.write)
             sys.stdout.flush()
-        except BrokenPipeError:  # the reader stopped early, as `| head` does: the rest is not wanted
+        except OSError as exc:  # the rest goes to the null device: the flush at exit cannot fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if not isinstance(exc, BrokenPipeError):  # a closed pipe: the reader stopped, as `| head` does
+                raise DataError(f"cannot write to standard output: {exc.strerror or exc}") from exc
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:

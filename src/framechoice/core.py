@@ -215,10 +215,6 @@ class Universe:
             self._texts[mask] = text
         return text
 
-    def frames(self) -> Iterator[int]:
-        """All 2^n frames in ascending mask order."""
-        return iter(range(1 << self.n))
-
 
 class Records(Sequence):
     """JSON records kept as columns until :func:`dumps_json` writes them.
@@ -350,13 +346,6 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def supersets(mask: int, n: int) -> Iterator[int]:
-    """All supersets of ``mask`` within an n-element universe."""
-    free = ((1 << n) - 1) & ~mask
-    for extra in submasks(free):
-        yield mask | extra
-
-
 # ---------------------------------------------------------------------------
 # datasets
 # ---------------------------------------------------------------------------
@@ -425,12 +414,15 @@ class StochasticChoiceData:
     The constructor checks the caller's ``probs`` and builds from it one
     frame matrix, column ``j`` holding frame ``domain[j]``: ``values[a, j]``
     (``float64``, or the caller's ``Fraction`` objects; 0 where unobserved)
-    and ``observed[a, j]``, both read-only.  It then replaces ``probs`` with
-    a :class:`CellView` of that matrix and keeps no reference to the caller's
-    mapping, so the cells are stored once and changing the input afterwards
-    changes no answer.  ``values`` and ``observed`` are not fields; equality
-    and repr see the cells through ``probs``.  Of several faulty cells, the
-    first in the caller's order is reported.
+    and ``observed[a, j]``, both read-only.  In rational mode it also keeps
+    each cell's parts, read once, in the same layout: ``numerators`` and
+    ``denominators``, object arrays of Python ints (0 and 1 where
+    unobserved), which the exact layers compute on.  It then replaces
+    ``probs`` with a :class:`CellView` of that matrix and keeps no reference
+    to the caller's mapping, so the cells are stored once and changing the
+    input afterwards changes no answer.  ``values``, ``observed`` and the
+    parts are not fields; equality and repr see the cells through ``probs``.
+    Of several faulty cells, the first in the caller's order is reported.
     """
 
     universe: Universe
@@ -478,6 +470,8 @@ class StochasticChoiceData:
             given = list(zip(keys, probs.tolist()) if parsed else self.probs.items())
             for i in np.flatnonzero(flagged).tolist():
                 self._check_cell(*given[i])
+            if exact:  # the flagged cells passed as Fraction subclasses: read them with the rest
+                top, bottom = fraction_parts(probs)
         domain, column = np.unique(frames, return_inverse=True)
         values = np.zeros((n, len(domain)), dtype)
         values[alts, column] = probs
@@ -485,7 +479,12 @@ class StochasticChoiceData:
         observed[alts, column] = True
         complete = observed.all(axis=0)
         if exact:  # each frame's sum is mass / whole, both Python ints
-            mass, whole = _frame_totals(values)
+            numerators, denominators = np.zeros(values.shape, object), np.ones(values.shape, object)
+            numerators[alts, column], denominators[alts, column] = top, bottom
+            numerators.flags.writeable = denominators.flags.writeable = False
+            object.__setattr__(self, "numerators", numerators)
+            object.__setattr__(self, "denominators", denominators)
+            mass, whole = _frame_totals(numerators, denominators)
             near_one, above_one = mass == whole, mass > whole
         else:
             totals = np.zeros(len(domain), dtype)  # 0 + p1 + p2 ..., in row order, as sum() adds
@@ -551,7 +550,8 @@ class StochasticChoiceData:
 
     def positivity(self) -> bool:
         """Whether every observed probability is strictly positive."""
-        return bool((self.values[self.observed] > 0).all())
+        cells = self.numerators if self.policy.exact else self.values  # a fraction has its numerator's sign
+        return bool((cells[self.observed] > 0).all())
 
     def to_csv(self) -> str:
         uni = self.universe
@@ -582,13 +582,12 @@ class StochasticChoiceData:
 fraction_parts = np.frompyfunc(attrgetter("numerator", "denominator"), 1, 2)
 
 
-def _frame_totals(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each column's exact sum of a matrix of Fractions, as ``mass / whole``.
+def _frame_totals(top: np.ndarray, bottom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's exact sum of a matrix of fractions ``top / bottom``, as ``mass / whole``.
 
     ``whole`` is the lcm of the column's denominators and ``mass`` the sum of
     its numerators scaled to it: Python ints, of any size.
     """
-    top, bottom = fraction_parts(values)
     whole = np.lcm.reduce(bottom, axis=0)
     return (top * (whole // bottom)).sum(axis=0), whole
 
@@ -954,7 +953,7 @@ def _incomplete_frames(data: StochasticChoiceData) -> tuple[int, ...]:
 def validate(data: StochasticChoiceData) -> ValidationReport:
     """Report-only health check: sums, domain completeness, positivity."""
     if data.policy.exact:
-        mass, whole = _frame_totals(data.values)
+        mass, whole = _frame_totals(data.numerators, data.denominators)
         sums = list(map(Fraction, mass.tolist(), whole.tolist()))
     else:
         sums = sum(data.values, 0).tolist()  # row by row: alternative order from 0 (np.add.reduce may pair)

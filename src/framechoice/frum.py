@@ -16,6 +16,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
+from math import lcm
 
 import numpy as np
 
@@ -425,21 +426,33 @@ def check_prop2(data: StochasticChoiceData, mu: TypeDistribution) -> Prop2Report
     meets the side conditions on its path's ``|P| + 1`` cells and nowhere
     else: ``q(P[k], X - {P[0..k-1]})`` for each ``k``, then
     ``y(default, X - P)``.  Each weight is added to those cells in
-    ``mu.weights`` order: O(|support|·n) plus one lattice transform.
+    ``mu.weights`` order: O(|support|·n) plus one lattice transform.  In
+    rational mode the additions are of integers, each weight's numerator
+    over the weights' common denominator, and each cell becomes one
+    ``Fraction`` at the end.
     """
     if mu.universe != data.universe:
         raise DataError("type distribution and data must share a universe")
     table = compute_bm(data)
     n = data.universe.n
-    zero = data.policy.zero()
-    mass = [[zero] * (1 << n) for _ in range(n)]  # laid out like the table
-    for ctype, w in mu.weights.items():  # a zero weight adds nothing, in either mode
+    exact = data.policy.exact
+    if exact:
+        weights = list(map(Fraction, mu.weights.values()))
+        common = lcm(*(w.denominator for w in weights))
+        weights = [w.numerator * (common // w.denominator) for w in weights]
+    else:
+        weights = mu.weights.values()
+    mass = [[0 if exact else 0.0] * (1 << n) for _ in range(n)]  # laid out like the table
+    for ctype, w in zip(mu.weights, weights):  # a zero weight adds nothing, in either mode
         node = (1 << n) - 1
         for x in ctype.priority:  # framed pick-offs down the lattice
             mass[x][node] += w
             node &= ~(1 << x)
         mass[ctype.default][node] += w  # then the leak
+    if exact:
+        mass = [[Fraction(m, common) for m in row] for row in mass]
 
+    zero = data.policy.zero()
     values = table.numbers()
     gaps = abs(values - np.array(mass, values.dtype))
     framed = table.framed

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .core import (
     StochasticChoiceData,
     Universe,
     columns_of,
-    fraction_parts,
     number_to_json,
     submasks,
 )
@@ -88,14 +87,6 @@ class BMTable:
         alts, frames = np.nonzero(where)
         return alts.tolist(), frames.tolist(), self._read(self.values[where].tolist())
 
-    def q_items(self) -> Iterator[tuple[int, int, Number]]:
-        """(alternative, frame, value) over all framed slots, in stable order."""
-        return zip(*self.columns(self.framed))
-
-    def y_items(self) -> Iterator[tuple[int, int, Number]]:
-        """(alternative, frame, value) over all non-framed slots, in stable order."""
-        return zip(*self.columns(~self.framed))
-
     def to_json_dict(self) -> dict:
         uni = self.universe
         return {
@@ -116,31 +107,24 @@ def _superset_signed_sum(row: np.ndarray, n: int, skip: int) -> None:
             view[lead + (0,)] -= view[lead + (1,)]
 
 
-# the read of the last rule that nonneg_certified left undecided: test_frum's
-# compute_bm call that follows takes it instead of reading the rule again
-_undecided: list[tuple[np.ndarray, tuple]] = []
-
-
-def _parts(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, int | None]:
+def _parts(data: StochasticChoiceData) -> tuple[np.ndarray, np.ndarray, int | None]:
     """Numerators, denominators and their lcm ``D``, ``None`` when ``D.bit_length() + n > 63``.
 
-    Each transformed cell sums up to 2^(n-1) numerators in [0, D], which might then overflow.
+    The parts are the rational rule's own, read once by its constructor.  Each
+    transformed cell sums up to 2^(n-1) numerators in [0, D], which might then overflow.
     """
-    handed, parts = _undecided.pop() if _undecided else (None, None)
-    if handed is values:  # the matrix is read-only, so its read still holds
-        return parts
-    tops, bottoms = fraction_parts(values)
+    tops, bottoms = data.numerators, data.denominators
     common = 1
     for bottom in set(bottoms.flat):
         common = lcm(common, bottom)
-        if common.bit_length() + n > 63:
+        if common.bit_length() + data.universe.n > 63:
             return tops, bottoms, None
     return tops, bottoms, common
 
 
-def _scaled(values: np.ndarray, n: int) -> tuple[np.ndarray, int] | None:
-    """Fractions in [0, 1] as ``int64`` numerators over their common denominator, if it fits."""
-    tops, bottoms, common = _parts(values, n)
+def _scaled(data: StochasticChoiceData) -> tuple[np.ndarray, int] | None:
+    """A rational rule's cells as ``int64`` numerators over their common denominator, if it fits."""
+    tops, bottoms, common = _parts(data)
     return None if common is None else ((tops * (common // bottoms)).astype(np.int64), common)
 
 
@@ -154,23 +138,22 @@ def nonneg_certified(data: StochasticChoiceData) -> bool:
     transforms are exact and fast.  Otherwise each ``rho`` becomes
     ``floor(rho * 2^CERTIFICATE_BITS)`` and the rows take the usual transform;
     a cell ``V`` summing ``terms`` floors is within ``terms`` of its exact value
-    so scaled, and ``V >= terms`` proves that value positive.  False decides
-    nothing, and leaves the rule's read for the :func:`compute_bm` that decides.
+    so scaled, and ``V >= terms`` proves that value positive.  The floors
+    come from the parts that the rule's constructor read.  False decides
+    nothing.
     """
     n = data.universe.n
     if not (data.policy.exact and data.full_domain):
         return False
-    tops, bottoms, common = parts = _parts(data.values, n)
-    if common is None:
-        fixed = (tops << CERTIFICATE_BITS) // bottoms
-        for alt in range(n):
-            _superset_signed_sum(fixed[alt], n, alt)
-        framed = (np.arange(1 << n) >> np.arange(n)[:, None]) & 1
-        terms = 1 << (n - 1 - framed.sum(axis=0) + framed)  # 2^(n-|F|) framed, 2^(n-1-|F|) not
-        if (fixed >= terms).all():
-            return True
-    _undecided[:] = [(data.values, parts)]
-    return False
+    tops, bottoms, common = _parts(data)
+    if common is not None:
+        return False
+    fixed = (tops << CERTIFICATE_BITS) // bottoms
+    for alt in range(n):
+        _superset_signed_sum(fixed[alt], n, alt)
+    framed = (np.arange(1 << n) >> np.arange(n)[:, None]) & 1
+    terms = 1 << (n - 1 - framed.sum(axis=0) + framed)  # 2^(n-|F|) framed, 2^(n-1-|F|) not
+    return bool((fixed >= terms).all())
 
 
 def compute_bm(data: StochasticChoiceData) -> BMTable:
@@ -189,7 +172,7 @@ def compute_bm(data: StochasticChoiceData) -> BMTable:
         raise DataError("polynomial tables require observations for every frame")
     n = data.universe.n
     # on the full domain, column F is frame F
-    scaled = _scaled(data.values, n) if data.policy.exact else None
+    scaled = _scaled(data) if data.policy.exact else None
     values, denominator = scaled or (data.values.copy(), 1)
     for alt in range(n):
         _superset_signed_sum(values[alt], n, alt)

@@ -1,6 +1,7 @@
 """Command-line surface: reports, exit codes, determinism."""
 
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -247,6 +248,16 @@ class TestExitCodes:
         assert proc.wait(timeout=60) == 0
         assert proc.stderr.read() == b""
         proc.stderr.close()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    def test_full_stdout_ends_in_one_error_line(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        with open("/dev/full", "w") as full:
+            argv = [sys.executable, "-m", "framechoice.cli", "validate", "--in", str(DATA_DIR / "intro_full.csv")]
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True,
+                                  env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: cannot write to standard output: {os.strerror(errno.ENOSPC)}\n"
 
     @pytest.mark.parametrize("command", ["bm", "test-frum", "hasse"])
     def test_stdout_and_out_file_get_the_same_bytes(self, tmp_path, capsys, command):

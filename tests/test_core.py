@@ -19,6 +19,7 @@ from framechoice.core import (
     NumericPolicy,
     StochasticChoiceData,
     Universe,
+    dumps_json,
     members,
     number_to_str,
     parse_deterministic,
@@ -26,6 +27,7 @@ from framechoice.core import (
     validate,
 )
 from framechoice.fluce import forward_fluce
+from framechoice.frum import test_frum
 from framechoice.polys import compute_bm, interim_y
 from framechoice.sim import SimConfig, default_universe, sample_fluce
 
@@ -167,7 +169,7 @@ class TestParseStochastic:
         uni = default_universe(6)
         rule = sample_fluce(SimConfig(seed=6, n=6))
         for policy in (FLOAT64, RATIONAL):
-            text = forward_fluce(rule, uni.frames(), policy).to_csv()
+            text = forward_fluce(rule, range(1 << uni.n), policy).to_csv()
             first = parse_stochastic(text, policy)
             second = parse_stochastic(first.to_csv(), policy)
             assert first.full_domain and len(first.probs) == 6 << 6
@@ -330,11 +332,15 @@ class TestValidate:
         assert report.contains_all_frames_up_to[1]
         assert not report.contains_all_frames_up_to[2]
 
-    def test_positivity_flag(self):
+    @pytest.mark.parametrize("policy", [FLOAT64, RATIONAL], ids=["float64", "rational"])
+    def test_positivity_flag(self, policy):
         uni = Universe(("a", "b"))
         probs = {(0, 0): 1.0, (1, 0): 0.0, (0, 1): 1.0, (1, 1): 0.0}
-        report = validate(StochasticChoiceData(uni, probs, FLOAT64))
+        report = validate(StochasticChoiceData(uni, {k: policy.convert(p) for k, p in probs.items()}, policy))
         assert not report.positivity
+        probs = {(0, 0): 0.75, (1, 0): 0.25, (0, 1): 1.0, (1, 1): 0.0}
+        partial = {k: policy.convert(p) for k, p in probs.items() if p}  # the unobserved cell is not counted
+        assert validate(StochasticChoiceData(uni, partial, policy)).positivity
 
     def test_json_shape(self):
         data = self._full_n3()
@@ -359,8 +365,39 @@ class TestFrameMatrix:
         assert data.values.tolist() == [[1, Fraction(1, 2)], [0, 0], [0, Fraction(1, 4)]]
         assert data.values[2, 1] is probs[(2, 0b011)]  # the caller's Fraction
         assert data.observed.tolist() == [[True, True], [False, False], [False, True]]
+        assert data.numerators.tolist() == [[1, 1], [0, 0], [0, 1]]
+        assert data.denominators.tolist() == [[1, 2], [1, 1], [1, 4]]
+        assert {type(x) for x in (*data.numerators.flat, *data.denominators.flat)} == {int}
+        with pytest.raises(ValueError, match="read-only"):
+            data.numerators[1, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            data.denominators[1, 0] = 2
         assert data.partial and not data.full_domain
         assert not data.is_complete_frame(0b011) and not data.is_complete_frame(0b111)
+        floats = StochasticChoiceData(uni, {key: float(p) for key, p in probs.items()})
+        assert not hasattr(floats, "numerators") and not hasattr(floats, "denominators")
+
+    def test_fraction_subclass_cells_pass_every_exact_layer(self):
+        # the array check flags a cell whose type is not Fraction itself, and the
+        # cell check accepts a subclass: its parts are read with every other cell's
+        class Exact(Fraction):
+            pass
+
+        plain = forward_fluce(sample_fluce(SimConfig(seed=4, n=3)), range(8), RATIONAL)
+        for keys in ([(1, 0b101)], [(0, 0), (2, 0b111), (1, 0b010)]):
+            probs = dict(plain.probs.items())
+            for key in keys:
+                probs[key] = Exact(probs[key])
+            data = StochasticChoiceData(plain.universe, probs, RATIONAL)
+            assert any(type(p) is Exact for p in data.values.flat)
+            assert data == plain
+            assert data.numerators.tolist() == plain.numerators.tolist()
+            assert data.denominators.tolist() == plain.denominators.tolist()
+            assert parse_stochastic(data.to_csv(), RATIONAL) == plain
+            assert validate(data) == validate(plain)
+            assert test_frum(data) == test_frum(plain)
+            assert compute_bm(data).numbers().tolist() == compute_bm(plain).numbers().tolist()
+            assert dumps_json(compute_bm(data).to_json_dict()) == dumps_json(compute_bm(plain).to_json_dict())
 
     def test_matrix_takes_no_part_in_equality(self):
         uni = Universe(("a", "b"))

@@ -15,8 +15,9 @@ from framechoice.core import (
     dumps_json,
     fraction_parts,
     parse_stochastic,
+    validate,
 )
-from framechoice import frum, polys
+from framechoice import core, frum, polys
 from framechoice.detfum import ChoiceType, enumerate_types
 from framechoice.frum import (
     BMViolation,
@@ -864,14 +865,20 @@ class TestSignCertificate:
             calls.append(values.shape)
             return fraction_parts(values)
 
-        monkeypatch.setattr(polys, "fraction_parts", counting)
+        monkeypatch.setattr(core, "fraction_parts", counting)
         # under the int64 bound; certified past it; past it and rejected
-        for data, accepted in (
-            (boosted_rule(4, 1), True),
-            (boosted_rule(8, 1), True),
-            (frame_free_rule(6, 6, TINY), False),
+        for build, accepted in (
+            (lambda: boosted_rule(4, 1), True),
+            (lambda: boosted_rule(8, 1), True),
+            (lambda: frame_free_rule(6, 6, TINY), False),
         ):
             calls.clear()
+            data = build()
+            assert calls == [(data.values.size,)]  # the constructor's one read, of every cell
             verdict = test_frum(data, with_witness=False)
-            assert verdict.accepted == accepted and calls == [data.values.shape]
+            assert verdict.accepted == accepted
+            assert nonneg_certified(data) == (data.universe.n == 8)
+            validate(data)
+            compute_bm(data)
             assert verdict == test_frum(data, with_witness=False)
+            assert calls == [(data.values.size,)]
