@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
-from math import comb, isfinite
+from math import comb, isfinite, lcm
 from operator import attrgetter, index, itemgetter
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
@@ -70,6 +70,9 @@ class NumericPolicy:
         text = text.strip()
         try:
             if self.exact:
+                top, _, bottom = text.partition("/")
+                if top.isdigit() and bottom.isdigit() and text.isascii():  # plain p/q: no regex
+                    return Fraction(int(top), int(bottom))
                 _, marker, exponent = text.upper().partition("E")
                 if marker and abs(int(exponent)) > MAX_EXPONENT:
                     raise ValueError("exponent out of range")
@@ -417,7 +420,9 @@ class StochasticChoiceData:
     and ``observed[a, j]``, both read-only.  In rational mode it also keeps
     each cell's parts, read once, in the same layout: ``numerators`` and
     ``denominators``, object arrays of Python ints (0 and 1 where
-    unobserved), which the exact layers compute on.  It then replaces
+    unobserved), which the exact layers compute on, and their lcm
+    ``common_denominator``, or None when it needs more than ``63 - n`` bits
+    (the bound of the ``int64`` lattice transform).  It then replaces
     ``probs`` with a :class:`CellView` of that matrix and keeps no reference
     to the caller's mapping, so the cells are stored once and changing the
     input afterwards changes no answer.  ``values``, ``observed`` and the
@@ -486,6 +491,7 @@ class StochasticChoiceData:
             object.__setattr__(self, "denominators", denominators)
             mass, whole = _frame_totals(numerators, denominators)
             near_one, above_one = mass == whole, mass > whole
+            object.__setattr__(self, "common_denominator", _common_denominator(whole, 63 - n))
         else:
             totals = np.zeros(len(domain), dtype)  # 0 + p1 + p2 ..., in row order, as sum() adds
             np.add.at(totals, column, probs)
@@ -590,6 +596,16 @@ def _frame_totals(top: np.ndarray, bottom: np.ndarray) -> tuple[np.ndarray, np.n
     """
     whole = np.lcm.reduce(bottom, axis=0)
     return (top * (whole // bottom)).sum(axis=0), whole
+
+
+def _common_denominator(wholes: np.ndarray, bits: int) -> int | None:
+    """The lcm of ``wholes`` (Python ints), or None once it needs more than ``bits`` bits."""
+    common = 1
+    for whole in set(wholes.tolist()):
+        common = lcm(common, whole)
+        if common.bit_length() > bits:
+            return None
+    return common
 
 
 class _Cells(NamedTuple):

@@ -16,7 +16,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -55,14 +55,25 @@ class TypeDistribution:
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", dict(self.weights))  # not the caller's dict
         n = self.universe.n
-        total = self.policy.zero()
+        exact = self.policy.exact
+        total = 0.0  # float mode: the weights in dict order
+        tops: dict[int, int] = {}  # rational mode: the weights' numerators summed per denominator
         for ctype, w in self.weights.items():
-            if any(a >= n for a in ctype.priority):
+            if max(ctype.priority) >= n:
                 raise DataError("choice type references an alternative outside the universe")
             if not self.policy.is_nonneg(w):
                 raise DataError("type weights must be nonnegative")
-            total += w
-        if not self.policy.is_close(total, self.policy.one(), scale=8):
+            if exact:
+                top, bottom = w.as_integer_ratio()
+                tops[bottom] = tops.get(bottom, 0) + top
+            else:
+                total += w
+        if exact:  # integers: the sums over the denominators' lcm
+            common = lcm(*tops)
+            mass = sum(top * (common // bottom) for bottom, top in tops.items())
+            if mass != common:
+                raise DataError(f"type weights sum to {float(Fraction(mass, common))}, expected 1")
+        elif not self.policy.is_close(total, self.policy.one(), scale=8):
             raise DataError(f"type weights sum to {float(total)}, expected 1")
 
     def weight(self, ctype: ChoiceType) -> Number:
@@ -266,11 +277,10 @@ test_frum.__test__ = False  # analysis entry point, not a pytest case
 # ---------------------------------------------------------------------------
 
 
-def _clamped(table: BMTable) -> list[list]:
-    # the table's rows as lists with every q/y value below zero set to zero:
-    # float noise in [-eps, 0) must not poison path products; exact mode is a no-op
-    zero = table.policy.zero()
-    return [[v if v > 0 else zero for v in row] for row in table.numbers().tolist()]
+def _clamped(table: BMTable) -> list[list[float]]:
+    # a float table's rows with every q/y value below zero set to zero: noise
+    # in [-eps, 0) must not poison path products (an accepted exact table has none)
+    return [[v if v > 0 else 0.0 for v in row] for row in table.values.tolist()]
 
 
 def _require_accepted(data: StochasticChoiceData) -> BMTable:
@@ -286,6 +296,8 @@ def _require_accepted(data: StochasticChoiceData) -> BMTable:
 
 def _recover_paths(table: BMTable) -> dict[ChoiceType, Number]:
     """Depth-first walk of the lattice assigning conditional flow ratios."""
+    if table.policy.exact:
+        return _exact_paths(table)
     n = table.universe.n
     bm = _clamped(table)
     weights: dict[ChoiceType, Number] = {}
@@ -306,7 +318,38 @@ def _recover_paths(table: BMTable) -> dict[ChoiceType, Number]:
             if down > 0:
                 visit(node & ~(1 << x), mass * down / through, consumed + (x,))
 
-    visit(full, table.policy.one(), ())
+    visit(full, 1.0, ())
+    return weights
+
+
+def _exact_paths(table: BMTable) -> dict[ChoiceType, Fraction]:
+    """:func:`_recover_paths` of an accepted rational table, on Python ints.
+
+    ``consumed`` is the complement of ``node``, so the flow through a node is
+    its column's sum, the same on every path; the table's common denominator
+    cancels in each ratio, and a type's weight is ``Π downs · leak / Π
+    throughs`` along its path, one ``Fraction`` per type.
+    """
+    n = table.universe.n
+    bm, _ = table.integers()
+    throughs = [sum(column) for column in zip(*bm)]
+    weights: dict[ChoiceType, Fraction] = {}
+
+    def visit(node: int, top: int, bottom: int, consumed: tuple[int, ...]) -> None:
+        through = throughs[node]
+        if not through > 0:
+            return
+        bottom *= through
+        for pos, x in enumerate(consumed):
+            leak = bm[x][node]
+            if leak > 0:
+                weights[ChoiceType(consumed, pos + 1)] = Fraction(top * leak, bottom)
+        for x in members(node):
+            down = bm[x][node]
+            if down > 0:
+                visit(node & ~(1 << x), top * down, bottom, consumed + (x,))
+
+    visit((1 << n) - 1, 1, 1, ())
     return weights
 
 
@@ -329,8 +372,12 @@ def recover_constructive(data: StochasticChoiceData) -> TypeDistribution:
     dividing each extension by the total weight of all orderings of the same
     prefix set, then reads one type per (prefix, terminal) pair.  Agrees with
     :func:`recover_branch_independent` type by type (exactly in rational mode).
+    In rational mode a prefix's weight is a pair of Python ints ``(top,
+    bottom)``, and each set's orderings add over the lcm of their bottoms.
     """
     table = _require_accepted(data)
+    if data.policy.exact:
+        return TypeDistribution(data.universe, _exact_prefixes(table), data.policy)
     n = data.universe.n
     bm = _clamped(table)
     full = (1 << n) - 1
@@ -348,7 +395,7 @@ def recover_constructive(data: StochasticChoiceData) -> TypeDistribution:
         by_set: dict[int, Number] = {}
         for prefix, g in level.items():
             mask = masks[prefix]
-            by_set[mask] = by_set.get(mask, table.policy.zero()) + g
+            by_set[mask] = by_set.get(mask, 0.0) + g
         nxt: dict[tuple[int, ...], Number] = {}
         for prefix, g in level.items():
             mask = masks[prefix]
@@ -369,6 +416,45 @@ def recover_constructive(data: StochasticChoiceData) -> TypeDistribution:
                     nxt[prefix + (z,)] = share * down
         level = nxt
     return TypeDistribution(data.universe, weights, data.policy)
+
+
+def _exact_prefixes(table: BMTable) -> dict[ChoiceType, Fraction]:
+    """:func:`recover_constructive`'s weights of an accepted rational table, on Python ints."""
+    n = table.universe.n
+    bm, common = table.integers()
+    full = (1 << n) - 1
+    level = {(a,): (bm[a][full], common) for a in range(n) if bm[a][full] > 0}
+    weights: dict[ChoiceType, Fraction] = {}
+    while level:
+        masks = {prefix: sum(1 << a for a in prefix) for prefix in level}
+        wholes: dict[int, int] = {}  # per prefix set: the lcm of its orderings' bottoms
+        for prefix, (_, bottom) in level.items():
+            wholes[masks[prefix]] = lcm(wholes.get(masks[prefix], 1), bottom)
+        by_set: dict[int, int] = {}  # per prefix set: its orderings' total over that lcm
+        for prefix, (top, bottom) in level.items():
+            mask = masks[prefix]
+            by_set[mask] = by_set.get(mask, 0) + top * (wholes[mask] // bottom)
+        for mask, mass in by_set.items():  # in lowest terms, so the pairs stay small
+            shared = gcd(mass, wholes[mask])
+            by_set[mask], wholes[mask] = mass // shared, wholes[mask] // shared
+        nxt: dict[tuple[int, ...], tuple[int, int]] = {}
+        for prefix, (top, bottom) in level.items():
+            mask = masks[prefix]
+            if not by_set[mask] > 0:
+                continue
+            node = full & ~mask
+            # share = (top / bottom) / (by_set / whole), and each table value is over common
+            top, bottom = top * wholes[mask], bottom * by_set[mask] * common
+            for pos, z in enumerate(prefix):
+                leak = bm[z][node]
+                if leak > 0:
+                    weights[ChoiceType(prefix, pos + 1)] = Fraction(top * leak, bottom)
+            for z in members(node):
+                down = bm[z][node]
+                if down > 0:
+                    nxt[prefix + (z,)] = (top * down, bottom)
+        level = nxt
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +523,9 @@ def check_prop2(data: StochasticChoiceData, mu: TypeDistribution) -> Prop2Report
     n = data.universe.n
     exact = data.policy.exact
     if exact:
-        weights = list(map(Fraction, mu.weights.values()))
-        common = lcm(*(w.denominator for w in weights))
-        weights = [w.numerator * (common // w.denominator) for w in weights]
+        parts = [w.as_integer_ratio() for w in mu.weights.values()]
+        common = lcm(*(bottom for _, bottom in parts))
+        weights = [top * (common // bottom) for top, bottom in parts]
     else:
         weights = mu.weights.values()
     mass = [[0 if exact else 0.0] * (1 << n) for _ in range(n)]  # laid out like the table

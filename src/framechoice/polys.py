@@ -45,7 +45,9 @@ class BMTable:
     :func:`compute_bm` could scale the rule to them, and otherwise ``Fraction``
     objects (dtype ``object``) over 1.  The sign of a cell is the sign of its
     stored value.  ``q``, ``y``, ``columns`` and ``numbers`` give the table's
-    numbers (Fractions in rational mode), built only for the cells they read.
+    numbers (Fractions in rational mode), built only for the cells they read;
+    ``integers`` gives a rational table's rows as Python ints over one
+    denominator and builds no ``Fraction``.
     """
 
     universe: Universe
@@ -65,6 +67,14 @@ class BMTable:
         if self.values.dtype != np.int64:
             return self.values
         return np.array(self._read(self.values.ravel().tolist()), object).reshape(self.values.shape)
+
+    def integers(self) -> tuple[list[list[int]], int]:
+        """A rational table's rows as Python int numerators over one common denominator."""
+        if self.values.dtype == np.int64:
+            return self.values.tolist(), self.denominator
+        rows = self.values.tolist()
+        common = lcm(*{v.denominator for row in rows for v in row})
+        return [[v.numerator * (common // v.denominator) for v in row] for row in rows], common
 
     def q(self, alt: int, frame: int) -> Number:
         if not frame & (1 << alt):
@@ -107,25 +117,17 @@ def _superset_signed_sum(row: np.ndarray, n: int, skip: int) -> None:
             view[lead + (0,)] -= view[lead + (1,)]
 
 
-def _parts(data: StochasticChoiceData) -> tuple[np.ndarray, np.ndarray, int | None]:
-    """Numerators, denominators and their lcm ``D``, ``None`` when ``D.bit_length() + n > 63``.
-
-    The parts are the rational rule's own, read once by its constructor.  Each
-    transformed cell sums up to 2^(n-1) numerators in [0, D], which might then overflow.
-    """
-    tops, bottoms = data.numerators, data.denominators
-    common = 1
-    for bottom in set(bottoms.flat):
-        common = lcm(common, bottom)
-        if common.bit_length() + data.universe.n > 63:
-            return tops, bottoms, None
-    return tops, bottoms, common
-
-
 def _scaled(data: StochasticChoiceData) -> tuple[np.ndarray, int] | None:
-    """A rational rule's cells as ``int64`` numerators over their common denominator, if it fits."""
-    tops, bottoms, common = _parts(data)
-    return None if common is None else ((tops * (common // bottoms)).astype(np.int64), common)
+    """A rational rule's cells as ``int64`` numerators over their common denominator, if it fits.
+
+    The parts and their lcm ``D`` are the rule's own, read once by its
+    constructor, which keeps no ``D`` past ``63 - n`` bits: each transformed
+    cell sums up to 2^(n-1) numerators in [0, D], which might then overflow.
+    """
+    common = data.common_denominator
+    if common is None:
+        return None
+    return (data.numerators * (common // data.denominators)).astype(np.int64), common
 
 
 CERTIFICATE_BITS = 128  # fractional bits of the fixed-point sign certificate
@@ -143,12 +145,9 @@ def nonneg_certified(data: StochasticChoiceData) -> bool:
     nothing.
     """
     n = data.universe.n
-    if not (data.policy.exact and data.full_domain):
+    if not (data.policy.exact and data.full_domain) or data.common_denominator is not None:
         return False
-    tops, bottoms, common = _parts(data)
-    if common is not None:
-        return False
-    fixed = (tops << CERTIFICATE_BITS) // bottoms
+    fixed = (data.numerators << CERTIFICATE_BITS) // data.denominators
     for alt in range(n):
         _superset_signed_sum(fixed[alt], n, alt)
     framed = (np.arange(1 << n) >> np.arange(n)[:, None]) & 1

@@ -83,6 +83,23 @@ class TestNumericPolicy:
         assert RATIONAL.parse("0.45") == Fraction(9, 20)
         assert RATIONAL.parse("9/20") == Fraction(9, 20)
 
+    @pytest.mark.parametrize("text", [
+        "1/3", "007/010", "+1/2", "-1/2", " 1/2 ", "1 /2", "/2", "1/", "1/0", "0/0", "1/-2",
+        "1_000/3", "١/٢", "²/3", "2/3e1", "1/2/3", "1.5/2",
+        "1" * 4301 + "/3", "1/" + "3" * 4301,  # past Python's int-digit limit
+    ], ids=repr)
+    def test_rational_literal_reads_as_fraction_of_its_text(self, text):
+        # plain ASCII p/q skips Fraction's regex; every literal reads as Fraction(text) would
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(DataError) as info:
+                RATIONAL.parse(text)
+            assert str(info.value) == f"bad number literal {text.strip()!r}"
+        else:
+            number = RATIONAL.parse(text)
+            assert type(number) is Fraction and number == expected
+
     def test_rational_arithmetic_is_exact(self):
         p = RATIONAL.parse
         assert p("0.7") - p("0.45") - p("0.45") + p("0.1") == Fraction(-1, 10)
@@ -368,6 +385,7 @@ class TestFrameMatrix:
         assert data.numerators.tolist() == [[1, 1], [0, 0], [0, 1]]
         assert data.denominators.tolist() == [[1, 2], [1, 1], [1, 4]]
         assert {type(x) for x in (*data.numerators.flat, *data.denominators.flat)} == {int}
+        assert data.common_denominator == 4
         with pytest.raises(ValueError, match="read-only"):
             data.numerators[1, 0] = 1
         with pytest.raises(ValueError, match="read-only"):
@@ -375,7 +393,7 @@ class TestFrameMatrix:
         assert data.partial and not data.full_domain
         assert not data.is_complete_frame(0b011) and not data.is_complete_frame(0b111)
         floats = StochasticChoiceData(uni, {key: float(p) for key, p in probs.items()})
-        assert not hasattr(floats, "numerators") and not hasattr(floats, "denominators")
+        assert not any(hasattr(floats, name) for name in ("numerators", "denominators", "common_denominator"))
 
     def test_fraction_subclass_cells_pass_every_exact_layer(self):
         # the array check flags a cell whose type is not Fraction itself, and the

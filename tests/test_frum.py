@@ -10,6 +10,7 @@ from framechoice.core import (
     DataError,
     FLOAT64,
     RATIONAL,
+    NumericPolicy,
     StochasticChoiceData,
     Universe,
     dumps_json,
@@ -263,6 +264,34 @@ class TestDistribution:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(DataError, match="sum"):
             TypeDistribution(TABLE3_UNIVERSE, {C1: Fraction(1, 2)}, RATIONAL)
+
+    def test_rational_sum_is_exact(self):
+        # 1e-30 short of 1 reads as 1.0 in the message but is no sum of 1
+        short = {C1: Fraction(1, 2), C2: Fraction(1, 2) - Fraction(1, 10**30)}
+        with pytest.raises(DataError, match=r"^type weights sum to 1\.0, expected 1$"):
+            TypeDistribution(TABLE3_UNIVERSE, short, RATIONAL)
+        for policy in (RATIONAL, FLOAT64):
+            with pytest.raises(DataError, match=r"^type weights sum to 0\.0, expected 1$"):
+                TypeDistribution(TABLE3_UNIVERSE, {}, policy)
+
+    def test_rational_weights_may_be_ints_or_fraction_subclasses(self):
+        class Share(Fraction):
+            pass
+
+        assert TypeDistribution(TABLE3_UNIVERSE, {C1: 1}, RATIONAL).weight(C1) == 1
+        mixed = {C1: Share(1, 3), C2: 0, C3: Fraction(1, 6), C4: Share(1, 2)}
+        assert TypeDistribution(TABLE3_UNIVERSE, mixed, RATIONAL).weights == mixed
+        with pytest.raises(DataError, match=r"^type weights sum to 2\.0, expected 1$"):
+            TypeDistribution(TABLE3_UNIVERSE, {C1: 1, C2: True}, RATIONAL)
+        with pytest.raises(DataError, match=r"^type weights sum to 0\.3333333333333333, expected 1$"):
+            TypeDistribution(TABLE3_UNIVERSE, {C1: Share(1, 3)}, RATIONAL)
+
+    def test_float_weights_add_in_dict_order(self):
+        no_eps = NumericPolicy("float64", 0.0)
+        assert TypeDistribution(TABLE3_UNIVERSE, {C1: 0.1, C2: 0.2, C3: 0.7}, no_eps)
+        # 0.2 + 0.7 + 0.1 rounds to 0.9999999999999999
+        with pytest.raises(DataError, match=r"^type weights sum to 0\.9999999999999999, expected 1$"):
+            TypeDistribution(TABLE3_UNIVERSE, {C2: 0.2, C3: 0.7, C1: 0.1}, no_eps)
 
     def test_out_of_universe_type(self):
         with pytest.raises(DataError, match="outside the universe"):
@@ -803,7 +832,9 @@ class TestSignCertificate:
     def test_rules_cover_both_sides_of_the_bound_and_every_path(self):
         def fits_int64(data):
             common = lcm(*(p.denominator for p in data.probs.values()))
-            return common.bit_length() + data.universe.n <= 63
+            fits = common.bit_length() + data.universe.n <= 63
+            assert data.common_denominator == (common if fits else None)  # kept by the constructor
+            return fits
 
         rules = CERTIFIED_RULES.items()
         fits = {name for name, data in rules if fits_int64(data)}
@@ -882,3 +913,39 @@ class TestSignCertificate:
             compute_bm(data)
             assert verdict == test_frum(data, with_witness=False)
             assert calls == [(data.values.size,)]
+
+
+# ---------------------------------------------------------------------------
+# rational recovery on Python ints
+# ---------------------------------------------------------------------------
+
+
+def seeded_mixture_rule(n: int, seed: int, denominator: int) -> StochasticChoiceData:
+    """Full-domain data of a few seeded types, weighted by cuts of ``denominator``."""
+    rng = random.Random(seed)
+    uni = default_universe(n)
+    support = rng.sample(enumerate_types(uni), n + 2)
+    cuts = sorted(rng.randrange(1, denominator) for _ in support[1:])
+    weights = [Fraction(hi - lo, denominator) for lo, hi in zip([0, *cuts], [*cuts, denominator])]
+    return forward_frum(TypeDistribution(uni, dict(zip(support, weights)), RATIONAL), range(1 << n))
+
+
+class TestIntegerWalks:
+    """Both rational recoveries walk Python ints and build one Fraction per type."""
+
+    @pytest.mark.parametrize("denominator", [1000, PRIME], ids=["int64", "fractions"])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_walks_equal_the_path_oracle_and_each_other(self, n, denominator):
+        for seed in range(3):
+            data = seeded_mixture_rule(n, seed, denominator)
+            table = compute_bm(data)
+            assert (table.values.dtype == object) == (denominator == PRIME)  # past int64: Fractions
+            branch, constructive = recover_branch_independent(data), recover_constructive(data)
+            assert branch.weights == constructive.weights
+            assert branch == test_frum(data).witness
+            for ctype, weight in branch.weights.items():
+                assert type(weight) is Fraction and weight > 0
+                assert weight == branch_weight(table, ctype)
+            assert all(type(w) is Fraction for w in constructive.weights.values())
+            for mu in (branch, constructive):
+                assert check_prop2(data, mu) == frum.Prop2Report(0, 0, 0)
