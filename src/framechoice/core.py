@@ -124,10 +124,9 @@ def number_to_json(x: Number) -> object:
 
 def _terminating_decimal(x: Fraction) -> str | None:
     d = x.denominator
-    twos = fives = 0
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
+    twos = (d & -d).bit_length() - 1  # the position of the lowest set bit
+    d >>= twos
+    fives = 0
     while d % 5 == 0:
         d //= 5
         fives += 1
@@ -140,6 +139,13 @@ def _terminating_decimal(x: Fraction) -> str | None:
     sign = "-" if scaled < 0 else ""
     digits = str(abs(scaled)).rjust(k + 1, "0")
     return f"{sign}{digits[:-k]}.{digits[-k:]}"
+
+
+def over_lcm(numbers: Iterable[Number]) -> tuple[list[int], int]:
+    """Exact numbers as Python-int numerators over the lcm of their denominators."""
+    parts = [x.as_integer_ratio() for x in numbers]
+    common = lcm(*{bottom for _, bottom in parts})
+    return [top * (common // bottom) for top, bottom in parts], common
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +223,29 @@ class Universe:
             text = "|".join([label for label, bit in self._order if mask & bit])
             self._texts[mask] = text
         return text
+
+
+@dataclass(frozen=True)
+class FramedValues:
+    """A base value ``u(x)`` and a boost ``v(x)``, applied while ``x`` is framed, per alternative."""
+
+    universe: Universe
+    u: tuple[Number, ...]
+    v: tuple[Number, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "u", tuple(self.u))
+        object.__setattr__(self, "v", tuple(self.v))
+        if len(self.u) != self.universe.n or len(self.v) != self.universe.n:
+            raise DataError("u and v must have one entry per alternative")
+
+    def to_json_dict(self) -> dict:
+        names = self.universe.names
+        return {
+            "universe": list(names),
+            "u": dict(zip(names, map(number_to_json, self.u))),
+            "v": dict(zip(names, map(number_to_json, self.v))),
+        }
 
 
 class Records(Sequence):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from .core import DataError, DeterministicChoiceData, Number, Universe, members
+from .core import DataError, DeterministicChoiceData, FramedValues, Number, Universe, members
 
 MAX_ENUMERATION = 8  # type count grows as sum_i i! * C(n,i) * i
 
@@ -84,7 +84,7 @@ def type_count(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class FUMRepresentation:
+class FUMRepresentation(FramedValues):
     """Base values ``u`` and nonnegative framed boosts ``v`` per alternative.
 
     Distinct alternatives must never tie under any frame-status combination
@@ -92,18 +92,11 @@ class FUMRepresentation:
     unique maximizer.
     """
 
-    universe: Universe
-    u: tuple[Number, ...]
-    v: tuple[Number, ...]
-
     def __post_init__(self) -> None:
-        object.__setattr__(self, "u", tuple(self.u))
-        object.__setattr__(self, "v", tuple(self.v))
-        n = self.universe.n
-        if len(self.u) != n or len(self.v) != n:
-            raise DataError("u and v must have one entry per alternative")
+        super().__post_init__()
         if any(b < 0 for b in self.v):
             raise DataError("framed boosts must be nonnegative")
+        n = self.universe.n
         for x in range(n):
             for y in range(x + 1, n):
                 vals_x = {self.u[x], self.u[x] + self.v[x]}
@@ -114,24 +107,12 @@ class FUMRepresentation:
     def value(self, alt: int, frame: int) -> Number:
         return self.u[alt] + self.v[alt] if frame & (1 << alt) else self.u[alt]
 
-    def to_json_dict(self) -> dict:
-        from .core import number_to_json
-
-        names = self.universe.names
-        return {
-            "universe": list(names),
-            "u": {names[i]: number_to_json(self.u[i]) for i in range(len(names))},
-            "v": {names[i]: number_to_json(self.v[i]) for i in range(len(names))},
-        }
-
 
 def evaluate_fum(rep: FUMRepresentation, frame: int) -> int:
-    """Maximizer of the frame-adjusted utility at a frame."""
+    """Maximizer of the frame-adjusted utility at a frame (unique: ``rep`` is injective)."""
     best, best_val = 0, rep.value(0, frame)
     for alt in range(1, rep.universe.n):
         val = rep.value(alt, frame)
-        if val == best_val:
-            raise DataError("non-injective utility")
         if val > best_val:
             best, best_val = alt, val
     return best

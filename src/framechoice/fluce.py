@@ -21,6 +21,7 @@ from .core import (
     NumericPolicy,
     FLOAT64,
     RATIONAL,
+    FramedValues,
     StochasticChoiceData,
     Universe,
     members,
@@ -36,19 +37,11 @@ class FitRejectionError(DataError):
 
 
 @dataclass(frozen=True)
-class FLuceParams:
+class FLuceParams(FramedValues):
     """Per-alternative base weight (positive) and framed boost (nonnegative)."""
 
-    universe: Universe
-    u: tuple[Number, ...]
-    v: tuple[Number, ...]
-
     def __post_init__(self) -> None:
-        object.__setattr__(self, "u", tuple(self.u))
-        object.__setattr__(self, "v", tuple(self.v))
-        n = self.universe.n
-        if len(self.u) != n or len(self.v) != n:
-            raise DataError("u and v must have one entry per alternative")
+        super().__post_init__()
         if any(not w > 0 for w in self.u):
             raise DataError("base weights must be strictly positive")
         if any(w < 0 for w in self.v):
@@ -57,14 +50,6 @@ class FLuceParams:
     @property
     def exact(self) -> bool:
         return all(isinstance(w, Fraction) for w in self.u + self.v)
-
-    def to_json_dict(self) -> dict:
-        names = self.universe.names
-        return {
-            "universe": list(names),
-            "u": {names[i]: number_to_json(self.u[i]) for i in range(len(names))},
-            "v": {names[i]: number_to_json(self.v[i]) for i in range(len(names))},
-        }
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "FLuceParams":

@@ -12,10 +12,10 @@ interval sums and to exact linear feasibility over the enumerated types.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress
 from math import gcd, lcm
 
 import numpy as np
@@ -30,6 +30,7 @@ from .core import (
     columns_of,
     members,
     number_to_json,
+    over_lcm,
 )
 from .detfum import ChoiceType, enumerate_types
 from .polys import BMTable, compute_bm, nonneg_certified, signed_interval_sum
@@ -55,26 +56,20 @@ class TypeDistribution:
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", dict(self.weights))  # not the caller's dict
         n = self.universe.n
-        exact = self.policy.exact
-        total = 0.0  # float mode: the weights in dict order
-        tops: dict[int, int] = {}  # rational mode: the weights' numerators summed per denominator
         for ctype, w in self.weights.items():
             if max(ctype.priority) >= n:
                 raise DataError("choice type references an alternative outside the universe")
             if not self.policy.is_nonneg(w):
                 raise DataError("type weights must be nonnegative")
-            if exact:
-                top, bottom = w.as_integer_ratio()
-                tops[bottom] = tops.get(bottom, 0) + top
-            else:
-                total += w
-        if exact:  # integers: the sums over the denominators' lcm
-            common = lcm(*tops)
-            mass = sum(top * (common // bottom) for bottom, top in tops.items())
+        if self.policy.exact:  # integers over the weights' common denominator
+            tops, common = over_lcm(self.weights.values())
+            mass = sum(tops)
             if mass != common:
-                raise DataError(f"type weights sum to {float(Fraction(mass, common))}, expected 1")
-        elif not self.policy.is_close(total, self.policy.one(), scale=8):
-            raise DataError(f"type weights sum to {float(total)}, expected 1")
+                raise DataError(f"type weights sum to {mass / common}, expected 1")
+        else:
+            total = sum(self.weights.values(), 0.0)  # in dict order
+            if not self.policy.is_close(total, 1.0, scale=8):
+                raise DataError(f"type weights sum to {float(total)}, expected 1")
 
     def weight(self, ctype: ChoiceType) -> Number:
         return self.weights.get(ctype, self.policy.zero())
@@ -141,10 +136,6 @@ class Violations(Sequence):
         upper = None if self.upper_frames is None else self.upper_frames[i]
         parts = (self.kinds[i], self.alternatives[i], self.frames[i], self.values[i], upper)
         return tuple(Violations(*parts)) if isinstance(i, slice) else BMViolation(*parts)
-
-    def __iter__(self) -> Iterator[BMViolation]:
-        uppers = repeat(None) if self.upper_frames is None else self.upper_frames
-        return map(BMViolation, self.kinds, self.alternatives, self.frames, self.values, uppers)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (tuple, Violations)):
@@ -336,10 +327,7 @@ def _exact_paths(table: BMTable) -> dict[ChoiceType, Fraction]:
     weights: dict[ChoiceType, Fraction] = {}
 
     def visit(node: int, top: int, bottom: int, consumed: tuple[int, ...]) -> None:
-        through = throughs[node]
-        if not through > 0:
-            return
-        bottom *= through
+        bottom *= throughs[node]  # positive: at least the inflow the walk came in by
         for pos, x in enumerate(consumed):
             leak = bm[x][node]
             if leak > 0:
@@ -440,10 +428,9 @@ def _exact_prefixes(table: BMTable) -> dict[ChoiceType, Fraction]:
         nxt: dict[tuple[int, ...], tuple[int, int]] = {}
         for prefix, (top, bottom) in level.items():
             mask = masks[prefix]
-            if not by_set[mask] > 0:
-                continue
             node = full & ~mask
-            # share = (top / bottom) / (by_set / whole), and each table value is over common
+            # share = (top / bottom) / (by_set / whole), and each table value is over common;
+            # by_set > 0, as a level holds positive weights only
             top, bottom = top * wholes[mask], bottom * by_set[mask] * common
             for pos, z in enumerate(prefix):
                 leak = bm[z][node]
@@ -523,9 +510,7 @@ def check_prop2(data: StochasticChoiceData, mu: TypeDistribution) -> Prop2Report
     n = data.universe.n
     exact = data.policy.exact
     if exact:
-        parts = [w.as_integer_ratio() for w in mu.weights.values()]
-        common = lcm(*(bottom for _, bottom in parts))
-        weights = [top * (common // bottom) for top, bottom in parts]
+        weights, common = over_lcm(mu.weights.values())
     else:
         weights = mu.weights.values()
     mass = [[0 if exact else 0.0] * (1 << n) for _ in range(n)]  # laid out like the table

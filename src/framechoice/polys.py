@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable
 
 import numpy as np
@@ -30,6 +29,7 @@ from .core import (
     Universe,
     columns_of,
     number_to_json,
+    over_lcm,
     submasks,
 )
 
@@ -72,9 +72,8 @@ class BMTable:
         """A rational table's rows as Python int numerators over one common denominator."""
         if self.values.dtype == np.int64:
             return self.values.tolist(), self.denominator
-        rows = self.values.tolist()
-        common = lcm(*{v.denominator for row in rows for v in row})
-        return [[v.numerator * (common // v.denominator) for v in row] for row in rows], common
+        tops, common = over_lcm(self.values.ravel().tolist())
+        return np.array(tops, object).reshape(self.values.shape).tolist(), common
 
     def q(self, alt: int, frame: int) -> Number:
         if not frame & (1 << alt):

@@ -187,6 +187,25 @@ def _types(universe) -> tuple:
     return tuple(enumerate_types(universe))
 
 
+def long_division_str(x: Fraction) -> str:
+    """``x`` in decimal by schoolbook long division, or ``p/q`` when the digits never end.
+
+    A decimal that ends has at most ``max(a, b) < d.bit_length()`` digits after
+    the point, where ``d = 2^a·5^b`` is the denominator, so a remainder left
+    after that many digits repeats forever.
+    """
+    whole, rest = divmod(abs(x.numerator), x.denominator)
+    digits = []
+    for _ in range(x.denominator.bit_length()):
+        if not rest:
+            break
+        digit, rest = divmod(10 * rest, x.denominator)
+        digits.append(str(digit))
+    if rest:
+        return f"{x.numerator}/{x.denominator}"
+    return ("-" if x < 0 else "") + str(whole) + ("." + "".join(digits) if digits else "")
+
+
 def lp_vertices(rows, rhs) -> list[tuple[Fraction, ...]]:
     """Every vertex of ``{x >= 0 : rows · x = rhs}``, by brute force (O(2^k) subsets).
 

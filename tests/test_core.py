@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import math
 import operator
 import pickle
 import random
@@ -22,14 +23,17 @@ from framechoice.core import (
     dumps_json,
     members,
     number_to_str,
+    over_lcm,
     parse_deterministic,
     parse_stochastic,
     validate,
 )
-from framechoice.fluce import forward_fluce
+from framechoice.detfum import FUMRepresentation
+from framechoice.fluce import FLuceParams, forward_fluce
 from framechoice.frum import test_frum
 from framechoice.polys import compute_bm, interim_y
 from framechoice.sim import SimConfig, default_universe, sample_fluce
+from oracles import long_division_str
 
 
 class TestUniverse:
@@ -121,6 +125,57 @@ class TestNumericPolicy:
         assert number_to_str(Fraction(1, 3)) == "1/3"
         assert number_to_str(Fraction(1)) == "1"
         assert number_to_str(0.25) == "0.25"
+
+    def test_rendering_matches_long_division(self):
+        # denominators 2^a·5^b·q with q = 1 (the decimal ends after max(a, b)
+        # digits) or q odd and no multiple of 5 (it never ends)
+        rng = random.Random(29)
+        values = [Fraction(0), Fraction(7), Fraction(-12), Fraction(-1, 20), Fraction(5, 2)]
+        for _ in range(400):
+            q = 1 if rng.random() < 0.5 else rng.choice([k for k in range(3, 200, 2) if k % 5])
+            bottom = 2 ** rng.randint(0, 80) * 5 ** rng.randint(0, 80) * q
+            values.append(Fraction(rng.randint(-(10**30), 10**30), bottom))
+        assert any(v.denominator > 1 and "/" not in long_division_str(v) for v in values)
+        assert any("/" in long_division_str(v) for v in values)
+        for value in values:
+            assert number_to_str(value) == long_division_str(value)
+
+
+class TestOverLcm:
+    def test_numerators_over_the_lcm_sum_as_fractions(self):
+        class Exact(Fraction):
+            """A Fraction subclass, read through as_integer_ratio like any other."""
+
+        rng = random.Random(7)
+        fractions = [Fraction(rng.randint(-50, 50), rng.randint(1, 60)) for _ in range(40)]
+        for numbers in ([], [3, -4, 0], fractions, [Exact(1, 6), Exact(-5, 4)],
+                        [2, Fraction(1, 3), Exact(7, 10), 0]):
+            tops, common = over_lcm(numbers)
+            assert type(common) is int and all(type(top) is int for top in tops)
+            assert common == math.lcm(*(Fraction(x).denominator for x in numbers))
+            assert [Fraction(top, common) for top in tops] == numbers
+            assert Fraction(sum(tops), common) == sum(map(Fraction, numbers))
+
+
+class TestFramedValues:
+    """FUM and FLuce share the (u, v) checks; each model's own checks follow them."""
+
+    def test_the_first_fault_names_the_error(self):
+        uni = Universe(("a", "b"))
+        with pytest.raises(DataError, match="base weights must be strictly positive"):
+            FLuceParams(uni, (0, 1), (-1, 0))
+        with pytest.raises(DataError, match="u and v must have one entry per alternative"):
+            FUMRepresentation(uni, (2, 1), (-1,))
+
+    def test_the_models_stay_apart(self):
+        uni = Universe(("a", "b"))
+        fum, fluce = FUMRepresentation(uni, (2, 1), (3, 2)), FLuceParams(uni, (2, 1), (3, 2))
+        assert fum != fluce and fluce != fum
+        assert fum.to_json_dict() == fluce.to_json_dict()
+        again = FUMRepresentation(uni, [2, 1], [3, 2])
+        assert fum == again and hash(fum) == hash(again)
+        assert repr(fum) == f"FUMRepresentation(universe={uni!r}, u=(2, 1), v=(3, 2))"
+        assert repr(fluce) == f"FLuceParams(universe={uni!r}, u=(2, 1), v=(3, 2))"
 
 
 class TestParseStochastic:

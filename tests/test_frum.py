@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 import pytest
@@ -949,3 +950,9 @@ class TestIntegerWalks:
             assert all(type(w) is Fraction for w in constructive.weights.values())
             for mu in (branch, constructive):
                 assert check_prop2(data, mu) == frum.Prop2Report(0, 0, 0)
+            # every node on a type's path has a positive column sum (its inflow),
+            # so the walk never divides by zero
+            rows, _ = table.integers()
+            for ctype in branch.weights:
+                path = accumulate(ctype.priority, lambda node, x: node & ~(1 << x), initial=(1 << n) - 1)
+                assert all(sum(row[node] for row in rows) > 0 for node in path)

@@ -138,6 +138,44 @@ class TestExactFallback:
         assert_agrees_with_vertices(rows, rhs, objective, result)
         assert result.x == (0, 0, TINY, 0, 1 + TINY) and result.value == 2 - 3 * TINY**2
 
+    def test_auxiliary_at_zero_leaves_from_a_given_float_basis(self, monkeypatch):
+        # the LP above from the float basis its Bland search ends on, given
+        # directly, so that the case stays covered under any float pivot rule
+        rows = [[F(v) for v in row] for row in [[1, 2, 1, 1, -1], [-2, -2, 1, 0, 1], [1, 1, 1, 1, 1]]]
+        rhs = [F(-1), 1 + 2 * TINY, 1 + 2 * TINY]
+        objective = [-1 + 3 * TINY, F(-1, 2) + 3 * TINY, -1 - 2 * TINY, 1 - TINY, 2 - TINY]
+        monkeypatch.setattr(rational_lp, "_float_basis", lambda a, b, cost: ([0, 4, 1], 4))
+        phase2 = []
+        bland = rational_lp._bland
+
+        def spy(columns, k, b, basis, x_b, cost, phase1):
+            if not phase1:
+                phase2.append((columns, list(basis), list(x_b), cost, basis))
+            return bland(columns, k, b, basis, x_b, cost, phase1)
+
+        monkeypatch.setattr(rational_lp, "_bland", spy)
+        result = solve_rational_lp(rows, rhs, objective)
+        assert result.exact_pivots == 4
+        assert_agrees_with_vertices(rows, rhs, objective, result)
+        assert result.x == (0, 0, TINY, 0, 1 + TINY) and result.value == 2 - 3 * TINY**2
+        # phase 2 starts with the repair column, appended last, basic at zero
+        ((columns, basis, x_b, cost, final),) = phase2
+        aux = basis.index(len(columns) - 1)
+        assert x_b[aux] == 0
+        # Bland's first entering column, the first that improves the objective,
+        # has a negative entry in that row: a ratio test over positive entries
+        # alone would keep the auxiliary basic and let it grow
+        basis_rows = rational_lp._basis_rows(columns, basis, len(rows))
+        for j in range(len(objective)):
+            a_j = [F(0)] * len(rows)
+            for i, v in columns[j]:
+                a_j[i] = v
+            direction = rational_lp._solve(basis_rows, a_j)
+            if sum(cost[p] * d for p, d in zip(basis, direction)) < cost[j]:
+                break
+        assert direction[aux] < 0
+        assert len(columns) - 1 not in final
+
 
 def random_lp(rng: random.Random):
     """A small bounded LP: random small-integer rows under a normalization row."""
