@@ -12,7 +12,7 @@ and realizing that type with integer values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import permutations
 from .core import DataError, DeterministicChoiceData, FramedValues, Number, Universe, members
 
@@ -330,12 +330,7 @@ class RepEquivalenceReport:
         return self.same_base_argmax and self.same_boost_comparisons and self.same_boosted_ranking
 
     def to_json_dict(self) -> dict:
-        return {
-            "same_base_argmax": self.same_base_argmax,
-            "same_boost_comparisons": self.same_boost_comparisons,
-            "same_boosted_ranking": self.same_boosted_ranking,
-            "same_choice_function": self.same_choice_function,
-        }
+        return asdict(self)
 
 
 def _cleared_boost_ranking(rep: FUMRepresentation, argmax: int) -> list[int]:

@@ -67,7 +67,9 @@ class TypeDistribution:
             if mass != common:
                 raise DataError(f"type weights sum to {mass / common}, expected 1")
         else:
-            total = sum(self.weights.values(), 0.0)  # in dict order
+            total = 0.0  # in dict order: builtin sum() adds floats compensated from Python 3.12
+            for w in self.weights.values():
+                total += w
             if not self.policy.is_close(total, 1.0, scale=8):
                 raise DataError(f"type weights sum to {float(total)}, expected 1")
 

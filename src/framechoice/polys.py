@@ -73,7 +73,8 @@ class BMTable:
         if self.values.dtype == np.int64:
             return self.values.tolist(), self.denominator
         tops, common = over_lcm(self.values.ravel().tolist())
-        return np.array(tops, object).reshape(self.values.shape).tolist(), common
+        width = self.values.shape[1]
+        return [tops[i : i + width] for i in range(0, len(tops), width)], common
 
     def q(self, alt: int, frame: int) -> Number:
         if not frame & (1 << alt):

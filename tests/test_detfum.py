@@ -1,6 +1,7 @@
 """Deterministic model: axioms, representation construction, type enumeration."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -463,6 +464,10 @@ class TestRepEquivalence:
         report = check_rep_equivalence(r1, r2)
         assert not report.same_boosted_ranking
         assert not report.same_choice_function
+        assert json.dumps(report.to_json_dict()) == (
+            '{"same_base_argmax": true, "same_boost_comparisons": true, '
+            '"same_boosted_ranking": false, "same_choice_function": false}'
+        )
 
     def test_inert_argmax_boost_is_not_identified(self):
         uni = Universe(("a", "b"))
